@@ -6,8 +6,7 @@ fit output), ``cv`` (one-subject-out classification), ``gradcheck``
 (finite-difference suites), ``bench`` (per-method wall-clock), ``iters``
 (MSE against total iteration count).
 
-Exit codes: 0 success, 1 validation/compute failure, 2 usage error. The
-environment variable DRSL_THREADS caps worker threads (0 = auto).
+Exit codes: 0 success, 1 validation/compute failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from . import __version__
 from .data_model import FitConfig, standardize_columns
 from .dataset_io import (
     ACCURACY_HEADER,
+    CORRELATION_HEADER,
     MSE_HEADER,
     RUNTIME_HEADER,
-    RunResult,
     fmt,
     read_dataset,
     write_dataset,
-    write_results,
 )
 from .errors import DrslError
 from .evaluation import (
@@ -69,7 +67,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--regularizer", choices=["on", "off"], default="on",
         help="disable to compare the linear solver against plain least squares",
     )
-    parser.add_argument("--adam-literal-eps", action="store_true")
     parser.add_argument("--lasso-alpha", type=float, default=0.9)
     parser.add_argument("--lasso-iters", type=int, default=500)
 
@@ -92,7 +89,6 @@ def _config_from_args(args, v_org: int | None) -> FitConfig:
         init=args.init,
         seed=args.seed,
         regularizer=args.regularizer,
-        adam_literal_epsilon=args.adam_literal_eps,
     )
 
 
@@ -110,7 +106,6 @@ def _config_echo(args, method: str, dataset: str) -> dict:
         "init": args.init,
         "seed": args.seed,
         "regularizer": args.regularizer,
-        "adam_literal_eps": args.adam_literal_eps,
         "lasso_alpha": args.lasso_alpha,
         "lasso_iters": args.lasso_iters,
         "version": __version__,
@@ -139,6 +134,17 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
         fh.write("\n".join([header, *rows]) + ("\n" if rows else "\n"))
 
 
+def _write_fit_tables(out: str, method: str, rho: float, iterations: int, mse: float) -> None:
+    """correlation.csv and mse.csv of one fit, as ``fit`` and ``eval`` write them."""
+    row = f"{method},{fmt(rho)},{fmt(0.0)}"
+    _write_csv(os.path.join(out, "correlation.csv"), CORRELATION_HEADER, [row])
+    _write_csv(os.path.join(out, "mse.csv"), MSE_HEADER, [f"{iterations},{fmt(mse)}"])
+
+
+def _runtime_rows(method: str, **phase_s: float) -> list[str]:
+    return [f"{method},{phase},{fmt(seconds * 1e3)}" for phase, seconds in phase_s.items()]
+
+
 def _cmd_synth(args) -> int:
     spec = SynthSpec(
         n_subjects=args.subjects,
@@ -162,7 +168,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _fit_eval_numbers(datasets, method_fit, config):
+def _fit_eval_numbers(datasets, method_fit):
     rho = between_class_correlation(method_fit.signatures)
     designs = [design for _, design in datasets]
     mse = group_mse(method_fit.mapped_responses, method_fit.subject_signatures, designs)
@@ -180,7 +186,7 @@ def _cmd_fit(args) -> int:
         lasso_alpha=args.lasso_alpha, lasso_iterations=args.lasso_iters,
     )
     t2 = time.perf_counter()
-    rho, mse = _fit_eval_numbers(datasets, method_fit, config)
+    rho, mse = _fit_eval_numbers(datasets, method_fit)
     t3 = time.perf_counter()
 
     os.makedirs(out, exist_ok=True)
@@ -195,20 +201,12 @@ def _cmd_fit(args) -> int:
                 os.path.join(out, f"sub-{data.subject_id}_mapped.tsv"),
                 method_fit.mapped_responses[idx],
             )
-    total_iters = _total_iterations(args)
-    result = RunResult(
-        method=args.method,
-        config=config,
-        rho_max=rho,
-        mse_by_iterations=((total_iters, mse),),
-        phase_ms=(
-            ("design_build", (t1 - t0) * 1e3),
-            ("fit", (t2 - t1) * 1e3),
-            ("eval", (t3 - t2) * 1e3),
-        ),
-        version=__version__,
+    _write_fit_tables(out, args.method, rho, _total_iterations(args), mse)
+    _write_csv(
+        os.path.join(out, "runtime.csv"),
+        RUNTIME_HEADER,
+        _runtime_rows(args.method, load=t1 - t0, fit=t2 - t1, eval=t3 - t2),
     )
-    write_results(result, out)
     with open(os.path.join(out, "run.json"), "w") as fh:
         json.dump(_config_echo(args, args.method, args.dataset), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -246,15 +244,8 @@ def _cmd_eval(args) -> int:
         )
     mse = group_mse(responses, subject_sigs, designs)
     os.makedirs(out, exist_ok=True)
-    _write_csv(
-        os.path.join(out, "correlation.csv"),
-        "method,rho_max,rho_std_over_seeds",
-        [f"{echo['method']},{fmt(rho)},{fmt(0.0)}"],
-    )
-    total = echo["m1"] * echo["m2"] if echo["method"] in (METHOD_DRSL, "lrsl") else (
-        echo["lasso_iters"] if echo["method"] == "lasso" else 0
-    )
-    _write_csv(os.path.join(out, "mse.csv"), MSE_HEADER, [f"{total},{fmt(mse)}"])
+    iterations = _total_iterations(argparse.Namespace(**echo))
+    _write_fit_tables(out, echo["method"], rho, iterations, mse)
     print(f"method={echo['method']} rho_max={rho:.6f} mse={mse:.6f} -> {out}")
     return 0
 
@@ -285,10 +276,7 @@ def _cmd_cv(args) -> int:
     _write_csv(
         os.path.join(out, "runtime.csv"),
         RUNTIME_HEADER,
-        [
-            f"{args.method},design_build,{fmt((t1 - t0) * 1e3)}",
-            f"{args.method},cv,{fmt((t2 - t1) * 1e3)}",
-        ],
+        _runtime_rows(args.method, load=t1 - t0, cv=t2 - t1),
     )
     with open(os.path.join(out, "run.json"), "w") as fh:
         json.dump(_config_echo(args, args.method, args.dataset), fh, indent=2, sort_keys=True)
@@ -361,24 +349,20 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise DrslError(f"unknown method {m!r}; expected subset of {METHODS}")
-    rows = []
+    t0 = time.perf_counter()
+    datasets = _load_standardized(args.dataset)
+    rows = _runtime_rows("all", load=time.perf_counter() - t0)
+    config = _config_from_args(args, datasets[0][0].n_voxels)
     for method in methods:
-        t0 = time.perf_counter()
-        datasets = _load_standardized(args.dataset)
         t1 = time.perf_counter()
-        config = _config_from_args(args, datasets[0][0].n_voxels)
         method_fit = fit_method(
             datasets, method, config,
             lasso_alpha=args.lasso_alpha, lasso_iterations=args.lasso_iters,
         )
         t2 = time.perf_counter()
-        _fit_eval_numbers(datasets, method_fit, config)
+        _fit_eval_numbers(datasets, method_fit)
         t3 = time.perf_counter()
-        rows += [
-            f"{method},design_build,{fmt((t1 - t0) * 1e3)}",
-            f"{method},fit,{fmt((t2 - t1) * 1e3)}",
-            f"{method},eval,{fmt((t3 - t2) * 1e3)}",
-        ]
+        rows += _runtime_rows(method, fit=t2 - t1, eval=t3 - t2)
         print(f"{method}: fit {(t2 - t1) * 1e3:.1f} ms")
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "runtime.csv"), RUNTIME_HEADER, rows)

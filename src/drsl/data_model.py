@@ -227,7 +227,6 @@ class FitConfig:
     init: InitScheme = InitScheme.SCALED_NORMAL
     seed: int = 0
     regularizer: RegularizerMode = RegularizerMode.ENABLED
-    adam_literal_epsilon: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "activation", Activation(self.activation))

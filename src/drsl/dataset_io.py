@@ -20,7 +20,6 @@ import numpy as np
 from .data_model import DesignMatrix, FitConfig, SubjectData
 from .design import Event, EventTable, build_design_matrix, canonical_hrf
 from .errors import DrslError, ManifestMismatch, MissingFile, ParseError
-from .evaluation import CvReport
 
 MANIFEST_NAME = "manifest.txt"
 EVENTS_HEADER = "onset\tduration\tcondition"
@@ -232,14 +231,13 @@ def read_dataset(path: str, hrf_length_s: float = 32.0) -> list[tuple[SubjectDat
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything one CLI run reports."""
+    """The numbers one fit reports, checked to be finite."""
 
     method: str
     config: FitConfig
     rho_max: float
     rho_std_over_seeds: float = 0.0
     mse_by_iterations: tuple[tuple[int, float], ...] = ()
-    cv: CvReport | None = None
     phase_ms: tuple[tuple[str, float], ...] = ()
     version: str = "0.0.0"
 
@@ -247,24 +245,16 @@ class RunResult:
         values = [self.rho_max, self.rho_std_over_seeds]
         values += [m for _, m in self.mse_by_iterations]
         values += [ms for _, ms in self.phase_ms]
-        if self.cv is not None:
-            values += list(self.cv.accuracies)
         if not np.all(np.isfinite(values)):
             raise DrslError("run result contains non-finite numbers")
 
 
 def write_results(result: RunResult, path: str) -> None:
-    """Write correlation/accuracy/mse/runtime CSVs under ``path``."""
+    """Write correlation/mse/runtime CSVs under ``path``."""
     os.makedirs(path, exist_ok=True)
     lines = [CORRELATION_HEADER]
     lines.append(f"{result.method},{fmt(result.rho_max)},{fmt(result.rho_std_over_seeds)}")
     _write_lines(os.path.join(path, "correlation.csv"), lines)
-
-    lines = [ACCURACY_HEADER]
-    if result.cv is not None:
-        for fold, acc in enumerate(result.cv.accuracies):
-            lines.append(f"{result.method},{fold},{fmt(acc)}")
-    _write_lines(os.path.join(path, "accuracy.csv"), lines)
 
     lines = [MSE_HEADER]
     for iterations, mse in result.mse_by_iterations:

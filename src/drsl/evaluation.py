@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineKind, fit_glm, fit_lasso, fit_lrsl
-from .data_model import (
-    DesignMatrix,
-    FitConfig,
-    NetworkParameters,
-    SignatureMatrix,
-    SubjectData,
-)
+from .data_model import DesignMatrix, FitConfig, SignatureMatrix, SubjectData
 from .errors import (
     ConstantRow,
     ConstantVector,
@@ -81,11 +75,8 @@ def between_class_correlation(signatures) -> float:
         raise ShapeMismatch(f"need a matrix with >= 2 rows, got shape {b.shape}")
     if np.any(b.max(axis=1) == b.min(axis=1)):
         raise ConstantRow("a signature row is constant; correlation undefined")
-    best = 0.0
-    for i in range(b.shape[0]):
-        for j in range(i + 1, b.shape[0]):
-            best = max(best, abs(pearson_corr(b[i], b[j])))
-    return best
+    off_diagonal = ~np.eye(b.shape[0], dtype=bool)
+    return float(min(1.0, np.max(np.abs(np.corrcoef(b)[off_diagonal]))))
 
 
 def group_mse(responses, signatures, designs) -> float:
@@ -302,26 +293,6 @@ class CvReport:
         return float(np.std(self.accuracies, ddof=1))
 
 
-def adapt_test_subject(
-    test_data: SubjectData,
-    test_design: DesignMatrix,
-    signatures: SignatureMatrix,
-    config: FitConfig,
-    rng: np.random.Generator | None = None,
-    return_history: bool = False,
-) -> NetworkParameters:
-    """Fit kernel parameters for a held-out subject with signatures frozen.
-
-    The targets are d_i B for the frozen group B, so the training-fold
-    signatures are never influenced by test responses. Cross-validation
-    passes only the part of the run set aside for adaptation, never the
-    scans it scores.
-    """
-    return fit_kernel_params(
-        test_data, test_design, signatures, config, rng=rng, return_history=return_history
-    )
-
-
 def normalize_method(method) -> str:
     if isinstance(method, BaselineKind):
         return method.value
@@ -451,7 +422,7 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
             )
         if name == METHOD_DRSL:
             adapt_x = test_data.responses[:split]
-            theta = adapt_test_subject(
+            theta = fit_kernel_params(
                 SubjectData(subject_id=test_data.subject_id, responses=adapt_x),
                 DesignMatrix(
                     conditions=test_design.conditions,

@@ -15,16 +15,13 @@ re-aggregates; each subject's theta carries over from one outer iteration
 to the next. A batch loss or B that stops being finite raises
 :class:`NonFinite` at the step where it happens.
 
-Group fits are deterministic for a fixed config regardless of thread
-count: every subject fit draws from its own seed stream derived from
-(master seed, outer iteration, subject index), and the mean is reduced in
-subject order.
+Group fits are deterministic for a fixed config: every subject fit draws
+from its own seed stream derived from (master seed, outer iteration,
+subject index), and subjects are fitted and averaged in subject order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,18 +62,6 @@ _STREAM_ADAPT = 2
 def seed_stream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key...); used for per-subject streams."""
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
-
-
-def worker_count(n_tasks: int) -> int:
-    """Thread cap from DRSL_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("DRSL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
 
 
 def _signature_array(b) -> np.ndarray:
@@ -236,14 +221,10 @@ def adam_step(
     mu1: float,
     mu2: float,
     epsilon: float,
-    literal_epsilon: bool = False,
 ) -> tuple[NetworkParameters, AdamState]:
     """One bias-corrected Adam update; returns new parameters and state.
 
-    The denominator is sqrt(gamma_hat) + epsilon. ``literal_epsilon``
-    restores the subtracted form for fidelity experiments; it divides by
-    zero when gamma_hat equals epsilon^2 and exists only for comparison
-    runs.
+    The denominator is sqrt(gamma_hat) + epsilon.
     """
     if len(state.delta) != len(grads.layers) or len(grads.layers) != len(params.layers):
         raise ShapeMismatch("Adam state, gradients, and parameters disagree in depth")
@@ -260,12 +241,8 @@ def adam_step(
         db = mu1 * db + (1.0 - mu1) * gb
         cw = mu2 * cw + (1.0 - mu2) * gw * gw
         cb = mu2 * cb + (1.0 - mu2) * gb * gb
-        if literal_epsilon:
-            denom_w = np.sqrt(cw / c2) - epsilon
-            denom_b = np.sqrt(cb / c2) - epsilon
-        else:
-            denom_w = np.sqrt(cw / c2) + epsilon
-            denom_b = np.sqrt(cb / c2) + epsilon
+        denom_w = np.sqrt(cw / c2) + epsilon
+        denom_b = np.sqrt(cb / c2) + epsilon
         new_layers.append(
             (w - eta * (dw / c1) / denom_w, bv - eta * (db / c1) / denom_b)
         )
@@ -335,14 +312,7 @@ def _kernel_step(
     grad_out = standardize_backward(2.0 * (fb - targets), fb, scale)
     grads = backprop_output_grad(params, trace, grad_out, config.activation)
     return adam_step(
-        state,
-        grads,
-        params,
-        config.eta,
-        config.mu1,
-        config.mu2,
-        config.epsilon,
-        literal_epsilon=config.adam_literal_epsilon,
+        state, grads, params, config.eta, config.mu1, config.mu2, config.epsilon
     )
 
 
@@ -489,10 +459,8 @@ def fit(
 
     for outer in range(config.m1):
         b_start = SignatureMatrix(values=b_tilde, conditions=conditions)
-
-        def run_one(idx: int) -> SubjectFit:
-            data, design = datasets[idx]
-            return fit_subject(
+        fits = tuple(
+            fit_subject(
                 data,
                 design,
                 b_start,
@@ -502,15 +470,9 @@ def fit(
                 initial_params=thetas[idx],
                 outer=outer,
             )
-
-        n_workers = worker_count(len(datasets))
-        if n_workers == 1:
-            fits = tuple(run_one(i) for i in range(len(datasets)))
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                fits = tuple(pool.map(run_one, range(len(datasets))))
+            for idx, (data, design) in enumerate(datasets)
+        )
         thetas = [f.params for f in fits]
-        # reduce in fixed subject order for bit determinism
         b_tilde = np.mean([f.signatures.values for f in fits], axis=0)
 
     signatures = SignatureMatrix(values=b_tilde, conditions=conditions)

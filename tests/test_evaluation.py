@@ -13,7 +13,6 @@ from drsl.errors import (
 )
 from drsl.evaluation import (
     CvReport,
-    adapt_test_subject,
     between_class_correlation,
     build_hyperplanes,
     cross_validate,
@@ -26,6 +25,7 @@ from drsl.evaluation import (
     predict,
     residual_scale,
 )
+from drsl.optimizer import fit_kernel_params
 from drsl.synth import SynthSpec, generate_dataset
 
 
@@ -87,6 +87,16 @@ class TestBetweenClassCorrelation:
         assert between_class_correlation(b2) == pytest.approx(
             between_class_correlation(b), abs=1e-10
         )
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 9), (8, 50)])
+    def test_matches_largest_pairwise_pearson_corr(self, shape):
+        b = np.random.default_rng(shape[1]).standard_normal(shape)
+        pairwise = max(
+            abs(pearson_corr(b[i], b[j]))
+            for i in range(shape[0])
+            for j in range(i + 1, shape[0])
+        )
+        assert between_class_correlation(b) == pytest.approx(pairwise, abs=1e-12)
 
 
 class TestGroupMse:
@@ -351,13 +361,13 @@ class TestCrossValidate:
 
         ds = _cv_dataset(nonlinearity="quadratic_mix", s=3)
         adapted = []
-        original = ev.adapt_test_subject
+        original = ev.fit_kernel_params
 
         def spy(test_data, test_design, signatures, config, **kw):
             adapted.append((test_data.responses.copy(), test_design.values.copy()))
             return original(test_data, test_design, signatures, config, **kw)
 
-        monkeypatch.setattr(ev, "adapt_test_subject", spy)
+        monkeypatch.setattr(ev, "fit_kernel_params", spy)
         cfg = FitConfig(
             m1=2, m2=20, batch_size=40, layer_sizes=(16, 12, 10, 8), activation="tanh", seed=3
         )
@@ -430,7 +440,7 @@ class TestAdaptTestSubject:
         from drsl.kernel_net import init_params
 
         sig = SignatureMatrix(np.random.default_rng(1).standard_normal((3, 8)))
-        theta = adapt_test_subject(ds.subjects[0], ds.designs[0], sig, cfg, rng=rng_a)
+        theta = fit_kernel_params(ds.subjects[0], ds.designs[0], sig, cfg, rng=rng_a)
         fresh = init_params((16, 12, 10, 8), cfg.init, rng=rng_b)
         for (w1, _), (w2, _) in zip(theta.layers, fresh.layers):
             np.testing.assert_array_equal(w1, w2)
@@ -444,7 +454,7 @@ class TestAdaptTestSubject:
         sig = SignatureMatrix(
             0.2 * np.random.default_rng(2).standard_normal((3, 8))
         )
-        _, losses = adapt_test_subject(
+        _, losses = fit_kernel_params(
             ds.subjects[0], ds.designs[0], sig, cfg, return_history=True
         )
         assert losses[-10:].mean() < losses[:10].mean()

@@ -105,20 +105,12 @@ class TestDatasetRoundTrip:
 
 class TestWriteResults:
     def make_result(self):
-        from drsl.evaluation import CvReport
-
-        report = CvReport(
-            subject_ids=("01", "02"),
-            accuracies=(0.75, 0.5),
-            confusions=(np.zeros((2, 2), dtype=np.int64),) * 2,
-        )
         return RunResult(
             method="glm",
             config=FitConfig(),
             rho_max=0.125,
             mse_by_iterations=((1000, 0.25),),
-            cv=report,
-            phase_ms=(("design_build", 1.5), ("fit", 20.0), ("eval", 3.0)),
+            phase_ms=(("load", 1.5), ("fit", 20.0), ("eval", 3.0)),
             version="0.1.0",
         )
 
@@ -126,9 +118,6 @@ class TestWriteResults:
         write_results(self.make_result(), str(tmp_path))
         assert open(tmp_path / "correlation.csv").readline().rstrip("\n") == (
             "method,rho_max,rho_std_over_seeds"
-        )
-        assert open(tmp_path / "accuracy.csv").readline().rstrip("\n") == (
-            "method,fold,accuracy"
         )
         assert open(tmp_path / "mse.csv").readline().rstrip("\n") == "iterations,mse"
         assert open(tmp_path / "runtime.csv").readline().rstrip("\n") == (
@@ -145,13 +134,6 @@ class TestWriteResults:
             rows = list(csv.DictReader(fh))
         assert int(rows[0]["iterations"]) == 1000
         assert float(rows[0]["mse"]) == 0.25
-
-    def test_accuracy_rows_one_per_fold(self, tmp_path):
-        write_results(self.make_result(), str(tmp_path))
-        with open(tmp_path / "accuracy.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        assert [float(r["accuracy"]) for r in rows] == [0.75, 0.5]
 
     def test_non_finite_rejected(self):
         with pytest.raises(Exception):
@@ -175,6 +157,8 @@ class TestCli:
         results = os.path.join(out, "results-glm")
         for name in ("signatures.tsv", "correlation.csv", "mse.csv", "runtime.csv", "run.json"):
             assert os.path.isfile(os.path.join(results, name)), name
+        # accuracy.csv comes from `drsl cv` only
+        assert not os.path.exists(os.path.join(results, "accuracy.csv"))
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         assert run(["fit", "--dataset", str(tmp_path), "--method", "unknown"]) == 2
@@ -232,9 +216,42 @@ class TestCli:
         with open(os.path.join(out, "runtime.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert {(r["method"], r["phase"]) for r in rows} == {
-            ("glm", "design_build"), ("glm", "fit"), ("glm", "eval"),
-            ("lasso", "design_build"), ("lasso", "fit"), ("lasso", "eval"),
+            ("all", "load"),
+            ("glm", "fit"), ("glm", "eval"),
+            ("lasso", "fit"), ("lasso", "eval"),
         }
+
+    def test_bench_reads_the_dataset_once(self, tmp_path, monkeypatch):
+        import drsl.cli as cli
+
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
+             "--conditions", "2", "--seed", "2", "--out", data_dir])
+        reads = []
+        original = cli.read_dataset
+
+        def spy(path, *args, **kwargs):
+            reads.append(path)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_dataset", spy)
+        out = str(tmp_path / "bench")
+        assert run([
+            "bench", "--dataset", data_dir, "--methods", "glm,lasso", "--out", out,
+        ]) == 0
+        assert reads == [data_dir]
+
+    def test_fit_and_cv_runtime_phases(self, tmp_path):
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
+             "--conditions", "2", "--seed", "2", "--out", data_dir])
+        phases = {}
+        for command in ("fit", "cv"):
+            out = str(tmp_path / command)
+            assert run([command, "--dataset", data_dir, "--method", "glm", "--out", out]) == 0
+            with open(os.path.join(out, "runtime.csv")) as fh:
+                phases[command] = [r["phase"] for r in csv.DictReader(fh)]
+        assert phases == {"fit": ["load", "fit", "eval"], "cv": ["load", "cv"]}
 
     def test_iters_schedule(self, tmp_path):
         data_dir = str(tmp_path / "d")
@@ -251,6 +268,12 @@ class TestCli:
 
     def test_version_flag(self):
         assert run(["--version"]) == 0
+
+    def test_every_public_name_resolves(self):
+        import drsl
+
+        for name in drsl.__all__:
+            assert hasattr(drsl, name), name
 
     def test_cli_defaults_match_fit_config(self):
         from drsl.cli import build_parser
