@@ -57,7 +57,9 @@ def fit_lasso(
 ) -> SignatureMatrix:
     """Minimize ||X - D B||_F^2 + alpha_lasso * sum|beta| by proximal gradient.
 
-    ``eta=None`` picks a step below the stability limit automatically.
+    ``eta=None`` picks a step below the stability limit automatically. The
+    gradient -2 (D^T X - D^T D B) comes from D^T D and D^T X, formed once,
+    so an iteration costs O(P^2 V) instead of O(T P V).
     """
     validate_pair(data, design)
     if alpha_lasso < 0:
@@ -67,11 +69,12 @@ def fit_lasso(
     if eta <= 0:
         raise BadStep(f"eta must be > 0, got {eta}")
     d = design.values
-    x = data.responses
-    b = np.zeros((d.shape[1], x.shape[1]))
+    gram = d.T @ d
+    dtx = d.T @ data.responses
+    b = np.zeros(dtx.shape)
     threshold = eta * alpha_lasso
     for _ in range(iterations):
-        grad = -2.0 * d.T @ (x - d @ b)
+        grad = -2.0 * (dtx - gram @ b)
         b = soft_threshold(b - eta * grad, threshold)
     return SignatureMatrix(values=b, conditions=design.conditions)
 

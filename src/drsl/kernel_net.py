@@ -41,11 +41,50 @@ class ForwardTrace:
         return self.activations[-1]
 
 
-@dataclass(frozen=True)
-class ParameterGradients:
-    """Gradients shaped like the parameters they differentiate."""
+class FlatParameters:
+    """One network's weights and biases in one contiguous float64 vector.
 
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    ``layers`` holds a writable (w, b) view per layer into ``flat``, shaped
+    as in :class:`NetworkParameters`, so :func:`forward` and
+    :func:`backprop_output_grad` take it in place of one, and an optimizer
+    can update every parameter of the network with whole-vector operations.
+    Training keeps theta, its gradient and the Adam moments in these;
+    :meth:`freeze` copies theta out as read-only ``NetworkParameters``.
+    """
+
+    def __init__(self, layer_sizes):
+        sizes = tuple(int(s) for s in layer_sizes)
+        validate_layer_sizes(sizes)
+        self.layer_sizes = sizes
+        self.flat = np.zeros(sum(u * (v + 1) for v, u in zip(sizes[:-1], sizes[1:])))
+        layers, start = [], 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = self.flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in)
+            start += fan_out * fan_in
+            layers.append((w, self.flat[start : start + fan_out]))
+            start += fan_out
+        self.layers = tuple(layers)
+
+    @classmethod
+    def from_params(cls, params: NetworkParameters) -> FlatParameters:
+        """A flat copy of ``params``; writing to it leaves ``params`` as it was."""
+        flat = cls(params.layer_sizes)
+        for (w, b), (fw, fb) in zip(params.layers, flat.layers):
+            fw[...] = w
+            fb[...] = b
+        return flat
+
+    @property
+    def input_dim(self) -> int:
+        return self.layer_sizes[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.layer_sizes[-1]
+
+    def freeze(self) -> NetworkParameters:
+        """Read-only copy; later writes to this buffer do not reach it."""
+        return NetworkParameters(layers=self.layers, layer_sizes=self.layer_sizes)
 
 
 def default_layer_sizes(v_org: int) -> tuple[int, ...]:
@@ -115,7 +154,7 @@ def _activation_derivative(z: np.ndarray, h: np.ndarray, activation: Activation)
 
 
 def forward(
-    params: NetworkParameters,
+    params: NetworkParameters | FlatParameters,
     batch: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -200,7 +239,7 @@ def backprop(
     targets: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
     trace: ForwardTrace | None = None,
-) -> ParameterGradients:
+) -> FlatParameters:
     """Exact gradient of kernel_loss w.r.t. every weight and bias.
 
     Accepts a precomputed forward trace to avoid a redundant pass; the
@@ -217,22 +256,34 @@ def backprop(
 
 
 def backprop_output_grad(
-    params: NetworkParameters,
+    params: NetworkParameters | FlatParameters,
     trace: ForwardTrace,
     grad_output: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
-) -> ParameterGradients:
-    """Chain a given dL/d(output) back through the network of ``trace``."""
+    out: FlatParameters | None = None,
+) -> FlatParameters:
+    """Chain a given dL/d(output) back through the network of ``trace``.
+
+    The gradients are written into ``out`` (a fresh buffer when None),
+    which is returned; ``out`` must not be ``params`` itself.
+    """
     activation = Activation(activation)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    if out is None:
+        out = FlatParameters(params.layer_sizes)
+    elif out.layer_sizes != params.layer_sizes:
+        raise ShapeMismatch(
+            f"gradient buffer has layer sizes {out.layer_sizes}, "
+            f"expected {params.layer_sizes}"
+        )
     delta = np.asarray(grad_output, dtype=np.float64)
     for m in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[m]
-        h_prev = trace.activations[m]
-        grads[m] = (delta.T @ h_prev, delta.sum(axis=0))
+        gw, gb = out.layers[m]
+        np.matmul(delta.T, trace.activations[m], out=gw)
+        np.sum(delta, axis=0, out=gb)
         if m > 0:
             upstream = delta @ w
             delta = upstream * _activation_derivative(
                 trace.pre_activations[m - 1], trace.activations[m], activation
             )
-    return ParameterGradients(layers=tuple(grads))
+    return out

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from drsl.data_model import NetworkParameters
 from drsl.errors import BadArchitecture, ShapeMismatch
 from drsl.kernel_net import (
+    FlatParameters,
     backprop,
     backprop_output_grad,
     default_layer_sizes,
@@ -244,6 +245,69 @@ class TestBackprop:
                 sum(g.layers[li][0] for g in per_sample),
                 atol=1e-10,
             )
+
+
+def _allocating_backprop(params, trace, grad_output, activation):
+    """Backprop that allocates each layer's gradient, as it did before it
+    wrote into a flat buffer; the reference for the buffered form."""
+    grads = [None] * len(params.layers)
+    delta = grad_output
+    for m in range(len(params.layers) - 1, -1, -1):
+        w, _ = params.layers[m]
+        grads[m] = (delta.T @ trace.activations[m], delta.sum(axis=0))
+        if m > 0:
+            z, h = trace.pre_activations[m - 1], trace.activations[m]
+            if activation == "sigmoid":
+                derivative = h * (1.0 - h)
+            elif activation == "tanh":
+                derivative = 1.0 - h * h
+            else:
+                derivative = np.where(z > 0, 1.0, 0.0)
+            delta = (delta @ w) * derivative
+    return grads
+
+
+class TestGradientBuffer:
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_written_gradient_equals_allocating_backprop(self, activation):
+        rng = np.random.default_rng(12)
+        sizes = (30, 25, 18, 7)
+        params = init_params(sizes, "paper_normal", seed=6)
+        flat = FlatParameters.from_params(params)
+        x = rng.standard_normal((13, 30))
+        grad_output = rng.standard_normal((13, 7))
+        _, trace = forward(params, x, activation)
+        expected = _allocating_backprop(params, trace, grad_output, activation)
+        for net in (params, flat):
+            _, net_trace = forward(net, x, activation)
+            buffer = FlatParameters(sizes)
+            buffer.flat[:] = np.nan
+            got = backprop_output_grad(net, net_trace, grad_output, activation, out=buffer)
+            assert got is buffer
+            for (gw, gb), (ew, eb) in zip(buffer.layers, expected):
+                np.testing.assert_array_equal(gw, ew)
+                np.testing.assert_array_equal(gb, eb)
+
+    def test_buffer_of_other_sizes_rejected(self):
+        params = init_params((4, 3, 2), seed=0)
+        _, trace = forward(params, np.ones((2, 4)))
+        with pytest.raises(ShapeMismatch):
+            backprop_output_grad(params, trace, np.ones((2, 2)), out=FlatParameters((4, 3, 3)))
+
+    def test_flat_copy_and_freeze_share_no_memory(self):
+        params = init_params((5, 4, 3), seed=1)
+        flat = FlatParameters.from_params(params)
+        frozen = flat.freeze()
+        for (w, b), (fw, fb), (zw, zb) in zip(params.layers, flat.layers, frozen.layers):
+            np.testing.assert_array_equal(fw, w)
+            np.testing.assert_array_equal(zb, b)
+            assert np.shares_memory(fw, flat.flat) and np.shares_memory(fb, flat.flat)
+            assert not zw.flags.writeable
+        flat.flat[:] = 0.0
+        for (w, b), (zw, zb) in zip(params.layers, frozen.layers):
+            np.testing.assert_array_equal(zw, w)
+            np.testing.assert_array_equal(zb, b)
+            assert np.any(w != 0.0)
 
 
 class TestActivationContract:

@@ -17,15 +17,16 @@ from drsl.errors import (
     NonFinite,
     ShapeMismatch,
 )
-from drsl.kernel_net import init_params
+from drsl.kernel_net import FlatParameters, init_params
 from drsl.optimizer import (
+    ADAM_BLOCK,
+    AdamState,
     adam_step,
     fit,
     fit_kernel_params,
     fit_subject,
     grad_b,
     gram_bound,
-    init_adam_state,
     objective,
     regularizer,
     sample_batch,
@@ -231,45 +232,40 @@ class TestSampleBatch:
         assert np.all(np.abs(counts - expected) < 4 * sd)
 
 
+def _reference_adam(theta, delta, gamma, g, k, eta, mu1, mu2, eps):
+    """Functional Adam on one array, as each layer was updated before the
+    update became in place; returns new (theta, delta, gamma)."""
+    delta = mu1 * delta + (1.0 - mu1) * g
+    gamma = mu2 * gamma + (1.0 - mu2) * g * g
+    denom = np.sqrt(gamma / (1.0 - mu2**k)) + eps
+    return theta - eta * (delta / (1.0 - mu1**k)) / denom, delta, gamma
+
+
 class TestAdamStep:
-    def make(self, seed=0):
-        params = init_params((3, 4, 4, 2), "scaled_normal", seed=seed)
-        return params, init_adam_state(params)
-
-    def zero_grads(self, params):
-        from drsl.kernel_net import ParameterGradients
-
-        return ParameterGradients(
-            layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers)
-        )
+    def make(self, seed=0, sizes=(3, 4, 4, 2)):
+        params = FlatParameters.from_params(init_params(sizes, "scaled_normal", seed=seed))
+        return params, AdamState(sizes)
 
     def test_zero_gradient_leaves_parameters(self):
         params, state = self.make()
-        new_params, new_state = adam_step(
-            state, self.zero_grads(params), params, 1e-3, 0.9, 0.999, 1e-8
-        )
-        assert new_state.step_count == 1
-        for (w0, b0), (w1, b1) in zip(params.layers, new_params.layers):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
+        before = params.flat.copy()
+        adam_step(state, FlatParameters(params.layer_sizes), params, 1e-3, 0.9, 0.999, 1e-8)
+        assert state.step_count == 1
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_first_step_is_signed_learning_rate(self):
-        from drsl.kernel_net import ParameterGradients
-
         params, state = self.make()
-        grads = ParameterGradients(
-            layers=tuple(
-                (np.full_like(w, 5.0), np.full_like(b, -5.0)) for w, b in params.layers
-            )
-        )
-        new_params, _ = adam_step(state, grads, params, 1e-3, 0.9, 0.999, 1e-8)
-        for (w0, b0), (w1, b1) in zip(params.layers, new_params.layers):
+        before = [(w.copy(), b.copy()) for w, b in params.layers]
+        grads = FlatParameters(params.layer_sizes)
+        for gw, gb in grads.layers:
+            gw[...] = 5.0
+            gb[...] = -5.0
+        adam_step(state, grads, params, 1e-3, 0.9, 0.999, 1e-8)
+        for (w0, b0), (w1, b1) in zip(before, params.layers):
             np.testing.assert_allclose(w1 - w0, -1e-3, rtol=1e-6)
             np.testing.assert_allclose(b1 - b0, 1e-3, rtol=1e-6)
 
     def test_three_steps_match_scalar_oracle(self):
-        from drsl.kernel_net import ParameterGradients
-
         # scalar Adam recurrence, constant gradient g
         g, eta, mu1, mu2, eps = 2.5, 1e-2, 0.9, 0.999, 1e-8
         theta, delta, gamma = 0.3, 0.0, 0.0
@@ -286,14 +282,47 @@ class TestAdamStep:
         layers = ((np.array([[0.3]]), np.array([0.3])), (np.array([[0.3]]), np.array([0.3])))
         from drsl.data_model import NetworkParameters
 
-        params = NetworkParameters(layers, sizes)
-        state = init_adam_state(params)
-        grads = ParameterGradients(
-            layers=tuple((np.full_like(w, g), np.full_like(b, g)) for w, b in params.layers)
-        )
+        params = FlatParameters.from_params(NetworkParameters(layers, sizes))
+        state = AdamState(sizes)
+        grads = FlatParameters(sizes)
+        grads.flat[:] = g
         for k in range(3):
-            params, state = adam_step(state, grads, params, eta, mu1, mu2, eps)
+            adam_step(state, grads, params, eta, mu1, mu2, eps)
             assert params.layers[0][0][0, 0] == pytest.approx(expected[k], abs=1e-12)
+
+    def test_bit_identical_to_functional_reference_across_blocks(self):
+        # 35,920 parameters: the block boundary at ADAM_BLOCK falls inside
+        # the first weight matrix, the first layer boundary inside block 2
+        sizes = (200, 120, 90, 10)
+        params, state = self.make(seed=3, sizes=sizes)
+        n_first = sizes[1] * (sizes[0] + 1)
+        assert ADAM_BLOCK < sizes[1] * sizes[0] < n_first < 2 * ADAM_BLOCK < params.flat.size
+        arrays = [a for layer in params.layers for a in layer]
+        ref = [[a.copy(), np.zeros_like(a), np.zeros_like(a)] for a in arrays]
+        grads = FlatParameters(sizes)
+        rng = np.random.default_rng(8)
+        eta, mu1, mu2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for k in range(1, 6):
+            grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.uniform(-4, 2)
+            adam_step(state, grads, params, eta, mu1, mu2, eps)
+            g_arrays = [a for layer in grads.layers for a in layer]
+            for entry, g in zip(ref, g_arrays):
+                entry[:] = _reference_adam(*entry, g, k, eta, mu1, mu2, eps)
+        got = zip(
+            (a for layer in params.layers for a in layer),
+            (a for layer in state.delta.layers for a in layer),
+            (a for layer in state.gamma.layers for a in layer),
+        )
+        for (theta, delta, gamma), expected in zip(got, ref):
+            np.testing.assert_array_equal(theta, expected[0])
+            np.testing.assert_array_equal(delta, expected[1])
+            np.testing.assert_array_equal(gamma, expected[2])
+        assert state.step_count == 5
+
+    def test_mismatched_buffers_raise(self):
+        params, state = self.make()
+        with pytest.raises(ShapeMismatch):
+            adam_step(state, FlatParameters((3, 4, 2)), params, 1e-3, 0.9, 0.999, 1e-8)
 
 
 def make_subject(t=60, v=8, p=3, seed=0, noise=0.1):
@@ -365,6 +394,23 @@ class TestFitSubject:
             NonFinite, match=r"subject 's0' diverged at kernel adaptation, step \d+"
         ):
             fit_kernel_params(data, design, sig, cfg)
+
+    def test_initial_params_untouched_and_result_read_only(self):
+        data, design = make_subject()
+        cfg = FitConfig(m2=15, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=3)
+        start = init_params((8, 6, 5, 4), cfg.init, seed=4)
+        before = [a.copy() for layer in start.layers for a in layer]
+        b0 = SignatureMatrix(np.zeros((3, 4)))
+        out = fit_subject(data, design, b0, cfg, initial_params=start)
+        theta = fit_kernel_params(data, design, out.signatures, cfg)
+        for a, b in zip((a for layer in start.layers for a in layer), before):
+            np.testing.assert_array_equal(a, b)
+        for params in (out.params, theta):
+            for a in (a for layer in params.layers for a in layer):
+                assert not a.flags.writeable
+                assert not any(np.shares_memory(a, s) for layer in start.layers for s in layer)
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
 
     def test_loss_history_length(self):
         data, design = make_subject()
@@ -475,6 +521,35 @@ class TestGroupFit:
                 assert start is None
             else:
                 assert start is returned[(outer - 1, sid)]
+
+
+    def test_fit_never_writes_carried_theta_or_earlier_results(self, monkeypatch):
+        import drsl.optimizer as opt
+
+        pairs = [make_subject(seed=s) for s in range(2)]
+        cfg = FitConfig(m1=3, m2=10, batch_size=20, seed=4, layer_sizes=(8, 6, 5, 4))
+        returned = []
+        original = opt.fit_subject
+
+        def spy(*args, **kw):
+            out = original(*args, **kw)
+            returned.append((out.params, [a.copy() for layer in out.params.layers for a in layer]))
+            return out
+
+        monkeypatch.setattr(opt, "fit_subject", spy)
+        first = fit(pairs, cfg)
+        weights = lambda group: [
+            a for sub in group.subject_fits for layer in sub.params.layers for a in layer
+        ]
+        kept = [a.copy() for a in weights(first)]
+        fit(pairs, cfg)
+        # every theta handed on to a later outer iteration, and the results of
+        # the first call, still hold what they held when they were returned
+        for params, snapshot in returned:
+            for a, b in zip((a for layer in params.layers for a in layer), snapshot):
+                np.testing.assert_array_equal(a, b)
+        for a, b in zip(weights(first), kept):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestSeedStream:
