@@ -189,24 +189,6 @@ def _read_events(
     )
 
 
-def read_events_tables(path: str) -> list[tuple[str, EventTable]]:
-    """Subject ids and event tables, in manifest order."""
-    manifest = _read_manifest(path)
-    return [
-        (
-            sid,
-            _read_events(
-                path,
-                _events_name(sid),
-                manifest["tr"],
-                manifest["n_scans"],
-                manifest["conditions"],
-            ),
-        )
-        for sid in manifest["subjects"]
-    ]
-
-
 def read_dataset(path: str, hrf_length_s: float = 32.0) -> list[tuple[SubjectData, DesignMatrix]]:
     """Load every subject and build its design matrix from the event files."""
     manifest = _read_manifest(path)

@@ -378,9 +378,9 @@ def _class_means(mapped, designs, signatures: SignatureMatrix) -> np.ndarray:
     counts = np.zeros(p)
     for resp, design in zip(mapped, designs):
         idx, labels = dominant_time_points(design)
-        for i, lab in zip(idx, labels):
-            sums[lab] += resp[i]
-            counts[lab] += 1
+        # np.add.at adds in index order, as a loop over the scans would
+        np.add.at(sums, labels, resp[idx])
+        counts += np.bincount(labels, minlength=p)
     means = signatures.values.copy()
     have = counts > 0
     means[have] = sums[have] / counts[have, None]
@@ -431,7 +431,7 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
                 signatures,
                 config,
                 rng=seed_stream(config.seed, _STREAM_CV_ADAPT, fold),
-            )
+            ).params
             theta = fold_output_standardization(theta, adapt_x, config.activation)
             test_responses, _ = forward(theta, test_data.responses[idx], config.activation)
         else:

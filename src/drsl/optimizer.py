@@ -10,9 +10,12 @@ min(eta, 1 / L) with L the batch Lipschitz bound of the smooth part, so the
 B half-step cannot diverge at any eta. Kernel outputs are standardized per
 batch (see :mod:`drsl.kernel_net`), which anchors the scale of f.
 
-The outer loop re-fits every subject from the current group mean and
-re-aggregates; each subject's theta carries over from one outer iteration
-to the next. A batch loss or B that stops being finite raises
+One inner loop serves subject fits and held-out adaptation:
+:func:`fit_subject` takes both half-steps, :func:`fit_kernel_params` keeps
+B frozen and takes only the Adam step, and both log the same weighted batch
+objective. The outer loop re-fits every subject from the current group mean
+and re-aggregates; each subject's theta carries over from one outer
+iteration to the next. A batch loss or B that stops being finite raises
 :class:`NonFinite` at the step where it happens.
 
 Group fits are deterministic for a fixed config: every subject fit draws
@@ -110,17 +113,19 @@ def grad_b(
     f_outputs: np.ndarray,
     alpha: float,
     regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
+    data_weight: float = 1.0,
 ) -> np.ndarray:
-    """Batch gradient of the subject objective with respect to B.
+    """Batch gradient of :func:`objective` with respect to B.
 
-    alpha*sign(B) + 20*alpha*B - 2 * sum_i d_i^T (f(x_i) - d_i B); the
-    regularizer term appears once per batch, not once per sample.
+    alpha*sign(B) + 20*alpha*B - 2 w sum_i d_i^T (f(x_i) - d_i B) with
+    w = ``data_weight``; the regularizer term appears once per batch, not
+    once per sample.
     """
     arr = _signature_array(b)
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
-    data_term = -2.0 * d.T @ (f - d @ arr)
+    data_term = -2.0 * data_weight * d.T @ (f - d @ arr)
     if RegularizerMode(regularizer_mode) is RegularizerMode.DISABLED:
         return data_term
     return regularizer_grad(arr, alpha) + data_term
@@ -174,13 +179,10 @@ def signature_step(
     objective, so B cannot diverge whatever eta is.
     """
     arr = _signature_array(b)
-    d = np.asarray(design_rows, dtype=np.float64)
-    f = np.asarray(f_outputs, dtype=np.float64)
-    _check_batch_shapes(arr, d, f)
+    smooth = grad_b(arr, design_rows, f_outputs, alpha, RegularizerMode.DISABLED, data_weight)
     enabled = RegularizerMode(regularizer_mode) is RegularizerMode.ENABLED
-    lipschitz = 2.0 * data_weight * gram_bound(d) + (20.0 * alpha if enabled else 0.0)
+    lipschitz = 2.0 * data_weight * gram_bound(design_rows) + (20.0 * alpha if enabled else 0.0)
     step = eta if lipschitz <= 0.0 else min(eta, 1.0 / lipschitz)
-    smooth = -2.0 * data_weight * d.T @ (f - d @ arr)
     if not enabled:
         return arr - step * smooth
     moved = arr - step * (smooth + 20.0 * alpha * arr)
@@ -300,45 +302,88 @@ def _resolve_sizes(config: FitConfig, v_org: int) -> tuple[int, ...]:
     return sizes
 
 
-class _KernelTrainer:
-    """Theta, its gradient and the Adam moments of one fit, as flat buffers.
-
-    Built once per fit from a copy of ``start``; every step writes into the
-    same four vectors.
-    """
-
-    def __init__(self, start: NetworkParameters):
-        self.theta = FlatParameters.from_params(start)
-        self.grads = FlatParameters(start.layer_sizes)
-        self.state = AdamState(start.layer_sizes)
-
-    def forward(self, xb: np.ndarray, activation):
-        """Standardized kernel outputs of a batch, their scale and the trace."""
-        z, trace = forward(self.theta, xb, activation)
-        fb, scale = standardize_outputs(z)
-        return fb, scale, trace
-
-    def step(self, trace, fb, scale, targets, config: FitConfig) -> None:
-        """Adam step on theta for sum ||standardize(f(x)) - targets||^2."""
-        grad_out = standardize_backward(2.0 * (fb - targets), fb, scale)
-        backprop_output_grad(
-            self.theta, trace, grad_out, config.activation, out=self.grads
-        )
-        adam_step(
-            self.state, self.grads, self.theta,
-            config.eta, config.mu1, config.mu2, config.epsilon,
-        )
-
-
-def _check_finite(subject_id: str, where: str, step: int, loss: float, b=None) -> None:
-    if np.isfinite(loss) and (b is None or np.all(np.isfinite(b))):
+def _check_finite(subject_id: str, where: str, step: int, loss: float, b) -> None:
+    if np.isfinite(loss) and np.all(np.isfinite(b)):
         return
-    detail = f"batch loss {loss!r}"
-    if b is not None:
-        detail += f", ||B|| = {float(np.linalg.norm(b))!r}"
     raise NonFinite(
-        f"subject {subject_id!r} diverged at {where}, step {step}: {detail} "
-        "(try a smaller eta)"
+        f"subject {subject_id!r} diverged at {where}, step {step}: batch loss "
+        f"{loss!r}, ||B|| = {float(np.linalg.norm(b))!r} (try a smaller eta)"
+    )
+
+
+def _train(
+    data: SubjectData,
+    design: DesignMatrix,
+    b_init: SignatureMatrix,
+    config: FitConfig,
+    rng: np.random.Generator,
+    where: str,
+    update_b: bool,
+    identity_kernel: bool = False,
+    initial_params: NetworkParameters | None = None,
+) -> SubjectFit:
+    """The inner training loop of one subject, with B updated or frozen.
+
+    Per iteration: draw a batch; unless ``update_b`` is False, take a
+    proximal step on B (:func:`signature_step`, data term weighted by
+    T / n); log the weighted batch objective; then (unless the kernel is the
+    identity) take an Adam step on theta against the targets d_i B. Theta
+    starts from a copy of ``initial_params`` when given, otherwise from a
+    fresh draw, and trains in flat buffers that no caller sees. A non-finite
+    loss or B raises :class:`NonFinite` naming the subject, ``where`` and
+    the step.
+    """
+    validate_pair(data, design)
+    x = data.responses
+    d = design.values
+    t = x.shape[0]
+    if config.batch_size > t:
+        raise BatchTooLarge(f"batch size {config.batch_size} exceeds {t} time points")
+    b = _signature_array(b_init).copy()
+    if b.shape[0] != d.shape[1]:
+        raise ShapeMismatch(
+            f"B has {b.shape[0]} rows but design has {d.shape[1]} conditions"
+        )
+    if identity_kernel:
+        theta = None
+        width = x.shape[1]
+    else:
+        sizes = _resolve_sizes(config, x.shape[1])
+        theta = FlatParameters.from_params(
+            initial_params if initial_params is not None
+            else init_params(sizes, config.init, rng=rng)
+        )
+        grads = FlatParameters(theta.layer_sizes)
+        state = AdamState(theta.layer_sizes)
+        width = theta.output_dim
+    if b.shape[1] != width:
+        raise ShapeMismatch(f"B has {b.shape[1]} columns but the kernel outputs {width}")
+
+    weight = t / config.batch_size
+    losses = np.empty(config.m2)
+    for k in range(config.m2):
+        idx = sample_batch(rng, t, config.batch_size)
+        xb, db = x[idx], d[idx]
+        if theta is None:
+            fb = xb
+        else:
+            z, trace = forward(theta, xb, config.activation)
+            fb, scale = standardize_outputs(z)
+        if update_b:
+            b = signature_step(
+                b, db, fb, config.alpha, config.eta, config.regularizer, data_weight=weight
+            )
+        losses[k] = objective(b, db, fb, config.alpha, config.regularizer, data_weight=weight)
+        _check_finite(data.subject_id, where, k, losses[k], b)
+        if theta is not None:
+            grad_out = standardize_backward(2.0 * (fb - db @ b), fb, scale)
+            backprop_output_grad(theta, trace, grad_out, config.activation, out=grads)
+            adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
+
+    return SubjectFit(
+        signatures=SignatureMatrix(values=b, conditions=design.conditions),
+        params=None if theta is None else theta.freeze(),
+        loss_history=losses,
     )
 
 
@@ -352,75 +397,19 @@ def fit_subject(
     initial_params: NetworkParameters | None = None,
     outer: int = 0,
 ) -> SubjectFit:
-    """Run the inner training loop for one subject.
-
-    Per iteration: draw a batch, take a proximal step on B
-    (:func:`signature_step`, data term weighted by T / n), then (unless the
-    kernel is the identity) an Adam step on theta against the regression
-    targets computed with the fresh B. Theta starts from a copy of
-    ``initial_params`` when given, otherwise from a fresh draw, and trains
-    in flat buffers that no caller sees. The logged loss is the weighted
-    batch objective after the B update; a non-finite loss or B raises
-    :class:`NonFinite` naming the subject, ``outer`` and the step.
+    """Fit B and theta of one subject, starting from ``b_init``.
 
     The returned ``params`` are a read-only copy of the raw network: the
-    fitted kernel is
-    ``standardize_outputs`` of its outputs over the run, which
-    :func:`drsl.kernel_net.fold_output_standardization` folds into it.
+    fitted kernel is ``standardize_outputs`` of its outputs over the run,
+    which :func:`drsl.kernel_net.fold_output_standardization` folds into it.
+    A divergence names ``outer`` as its outer iteration.
     """
-    validate_pair(data, design)
-    x = data.responses
-    d = design.values
-    t = x.shape[0]
-    if config.batch_size > t:
-        raise BatchTooLarge(f"batch size {config.batch_size} exceeds {t} time points")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-
-    b = _signature_array(b_init).copy()
-    if b.shape[0] != d.shape[1]:
-        raise ShapeMismatch(
-            f"B has {b.shape[0]} rows but design has {d.shape[1]} conditions"
-        )
-    if identity_kernel:
-        kernel = None
-        if b.shape[1] != x.shape[1]:
-            raise ShapeMismatch(
-                f"identity kernel needs B with {x.shape[1]} columns, got {b.shape[1]}"
-            )
-    else:
-        sizes = _resolve_sizes(config, x.shape[1])
-        kernel = _KernelTrainer(
-            initial_params if initial_params is not None
-            else init_params(sizes, config.init, rng=rng)
-        )
-        if b.shape[1] != kernel.theta.output_dim:
-            raise ShapeMismatch(
-                f"B has {b.shape[1]} columns but the network outputs "
-                f"{kernel.theta.output_dim} features"
-            )
-
-    weight = t / config.batch_size
-    where = f"outer iteration {outer}"
-    losses = np.empty(config.m2)
-    for k in range(config.m2):
-        idx = sample_batch(rng, t, config.batch_size)
-        xb, db = x[idx], d[idx]
-        if identity_kernel:
-            fb = xb
-        else:
-            fb, scale, trace = kernel.forward(xb, config.activation)
-        b = signature_step(
-            b, db, fb, config.alpha, config.eta, config.regularizer, data_weight=weight
-        )
-        losses[k] = objective(b, db, fb, config.alpha, config.regularizer, data_weight=weight)
-        _check_finite(data.subject_id, where, k, losses[k], b)
-        if not identity_kernel:
-            kernel.step(trace, fb, scale, db @ b, config)
-
-    signatures = SignatureMatrix(values=b, conditions=design.conditions)
-    params = None if identity_kernel else kernel.theta.freeze()
-    return SubjectFit(signatures=signatures, params=params, loss_history=losses)
+    return _train(
+        data, design, b_init, config, rng, f"outer iteration {outer}",
+        update_b=True, identity_kernel=identity_kernel, initial_params=initial_params,
+    )
 
 
 def check_group(datasets) -> tuple[tuple[str, ...], int, int]:
@@ -501,42 +490,14 @@ def fit_kernel_params(
     signatures: SignatureMatrix,
     config: FitConfig,
     rng: np.random.Generator | None = None,
-    return_history: bool = False,
-):
-    """Fit theta only, with B frozen; the signature half-step is skipped.
+) -> SubjectFit:
+    """Fit a fresh theta with B frozen at ``signatures``; adapts a held-out kernel.
 
-    Used to adapt a held-out subject's kernel: targets are d_i B for the
-    frozen group signatures, so the subject's responses never influence B.
-    The loss is that of the standardized outputs, as in :func:`fit_subject`;
-    a non-finite batch loss raises :class:`NonFinite` at its step. Callers
-    that score scans pass only the scans set aside for adaptation.
+    The targets d_i B come from the frozen group signatures, so the
+    subject's responses never influence B; the fit's ``signatures`` are B
+    as passed in. Callers that score scans pass only the scans set aside
+    for adaptation.
     """
-    validate_pair(data, design)
-    x = data.responses
-    d = design.values
-    t = x.shape[0]
-    if config.batch_size > t:
-        raise BatchTooLarge(f"batch size {config.batch_size} exceeds {t} time points")
     if rng is None:
         rng = seed_stream(config.seed, _STREAM_ADAPT)
-    b = _signature_array(signatures)
-    sizes = _resolve_sizes(config, x.shape[1])
-    if b.shape != (d.shape[1], sizes[-1]):
-        raise ShapeMismatch(
-            f"signatures have shape {b.shape}, expected ({d.shape[1]}, {sizes[-1]})"
-        )
-    kernel = _KernelTrainer(init_params(sizes, config.init, rng=rng))
-    losses = np.empty(config.m2)
-    for k in range(config.m2):
-        idx = sample_batch(rng, t, config.batch_size)
-        xb = x[idx]
-        targets = d[idx] @ b
-        fb, scale, trace = kernel.forward(xb, config.activation)
-        diff = fb - targets
-        losses[k] = float(np.sum(diff * diff))
-        _check_finite(data.subject_id, "kernel adaptation", k, losses[k])
-        kernel.step(trace, fb, scale, targets, config)
-    params = kernel.theta.freeze()
-    if return_history:
-        return params, losses
-    return params
+    return _train(data, design, signatures, config, rng, "kernel adaptation", update_b=False)

@@ -440,7 +440,7 @@ class TestAdaptTestSubject:
         from drsl.kernel_net import init_params
 
         sig = SignatureMatrix(np.random.default_rng(1).standard_normal((3, 8)))
-        theta = fit_kernel_params(ds.subjects[0], ds.designs[0], sig, cfg, rng=rng_a)
+        theta = fit_kernel_params(ds.subjects[0], ds.designs[0], sig, cfg, rng=rng_a).params
         fresh = init_params((16, 12, 10, 8), cfg.init, rng=rng_b)
         for (w1, _), (w2, _) in zip(theta.layers, fresh.layers):
             np.testing.assert_array_equal(w1, w2)
@@ -454,9 +454,7 @@ class TestAdaptTestSubject:
         sig = SignatureMatrix(
             0.2 * np.random.default_rng(2).standard_normal((3, 8))
         )
-        _, losses = fit_kernel_params(
-            ds.subjects[0], ds.designs[0], sig, cfg, return_history=True
-        )
+        losses = fit_kernel_params(ds.subjects[0], ds.designs[0], sig, cfg).loss_history
         assert losses[-10:].mean() < losses[:10].mean()
 
 

@@ -91,11 +91,11 @@ class TestGradB:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
-        for _ in range(5):
+        for weight in (1.0, 1.0, 1.0, 3.7, 3.7):
             b = rng.standard_normal((3, 6))
             d = rng.standard_normal((10, 3))
             f = rng.standard_normal((10, 6))
-            analytic = grad_b(b, d, f, alpha=10.0)
+            analytic = grad_b(b, d, f, alpha=10.0, data_weight=weight)
             h = 1e-6
             for k in range(3):
                 for j in range(6):
@@ -104,7 +104,10 @@ class TestGradB:
                     bp, bm = b.copy(), b.copy()
                     bp[k, j] += h
                     bm[k, j] -= h
-                    fd = (objective(bp, d, f, 10.0) - objective(bm, d, f, 10.0)) / (2 * h)
+                    fd = (
+                        objective(bp, d, f, 10.0, data_weight=weight)
+                        - objective(bm, d, f, 10.0, data_weight=weight)
+                    ) / (2 * h)
                     assert abs(analytic[k, j] - fd) / max(1.0, abs(fd)) < 1e-6
 
     def test_disabled_regularizer_leaves_data_term(self):
@@ -133,7 +136,7 @@ class TestSignatureStep:
         b, d, f = self.make()
         eta = 1e-3 / gram_bound(d)
         got = signature_step(b, d, f, 10.0, eta, RegularizerMode.DISABLED, data_weight=2.0)
-        expected = b - eta * 2.0 * grad_b(b, d, f, 10.0, RegularizerMode.DISABLED)
+        expected = b - eta * grad_b(b, d, f, 10.0, RegularizerMode.DISABLED, data_weight=2.0)
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_small_eta_matches_subgradient_step_away_from_zero(self):
@@ -395,6 +398,41 @@ class TestFitSubject:
         ):
             fit_kernel_params(data, design, sig, cfg)
 
+    @pytest.mark.parametrize("batch", [60, 20])
+    def test_adaptation_keeps_b_and_logs_the_weighted_objective(self, monkeypatch, batch):
+        import drsl.optimizer as opt
+
+        data, design = make_subject(t=60)
+        cfg = FitConfig(m2=12, batch_size=batch, layer_sizes=(8, 6, 5, 4), seed=2)
+        sig = SignatureMatrix(
+            np.random.default_rng(3).standard_normal((3, 4)), design.conditions
+        )
+        batches, outputs = [], []
+        sample, standardize = opt.sample_batch, opt.standardize_outputs
+
+        def spy_sample(*args):
+            batches.append(sample(*args))
+            return batches[-1]
+
+        def spy_standardize(z):
+            fb, scale = standardize(z)
+            outputs.append(fb.copy())
+            return fb, scale
+
+        monkeypatch.setattr(opt, "sample_batch", spy_sample)
+        monkeypatch.setattr(opt, "standardize_outputs", spy_standardize)
+        out = fit_kernel_params(data, design, sig, cfg)
+
+        np.testing.assert_array_equal(out.signatures.values, sig.values)
+        assert out.signatures.conditions == design.conditions
+        assert len(batches) == len(outputs) == cfg.m2
+        weight = data.n_scans / cfg.batch_size
+        expected = [
+            objective(sig, design.values[idx], fb, cfg.alpha, cfg.regularizer, data_weight=weight)
+            for idx, fb in zip(batches, outputs)
+        ]
+        np.testing.assert_allclose(out.loss_history, expected, rtol=1e-12)
+
     def test_initial_params_untouched_and_result_read_only(self):
         data, design = make_subject()
         cfg = FitConfig(m2=15, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=3)
@@ -402,10 +440,10 @@ class TestFitSubject:
         before = [a.copy() for layer in start.layers for a in layer]
         b0 = SignatureMatrix(np.zeros((3, 4)))
         out = fit_subject(data, design, b0, cfg, initial_params=start)
-        theta = fit_kernel_params(data, design, out.signatures, cfg)
+        adapted = fit_kernel_params(data, design, out.signatures, cfg)
         for a, b in zip((a for layer in start.layers for a in layer), before):
             np.testing.assert_array_equal(a, b)
-        for params in (out.params, theta):
+        for params in (out.params, adapted.params):
             for a in (a for layer in params.layers for a in layer):
                 assert not a.flags.writeable
                 assert not any(np.shares_memory(a, s) for layer in start.layers for s in layer)
