@@ -3,8 +3,8 @@
 Subcommands: ``synth`` (write a synthetic dataset), ``fit`` (fit one method
 and emit signatures plus result tables), ``eval`` (recompute tables from a
 fit output), ``cv`` (one-subject-out classification), ``gradcheck``
-(finite-difference suites), ``bench`` (per-method wall-clock), ``iters``
-(MSE against total iteration count).
+(finite-difference suites), ``iters`` (MSE against total iteration
+count).
 
 Exit codes: 0 success, 1 validation/compute failure, 2 usage error.
 """
@@ -28,7 +28,9 @@ from .dataset_io import (
     RUNTIME_HEADER,
     fmt,
     read_dataset,
+    read_matrix_tsv,
     write_dataset,
+    write_matrix_tsv,
 )
 from .errors import DrslError
 from .evaluation import (
@@ -117,21 +119,9 @@ def _load_standardized(path: str):
     return [(standardize_columns(data), design) for data, design in pairs]
 
 
-def _write_matrix_tsv(path: str, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        for row in np.atleast_2d(values):
-            fh.write("\t".join(fmt(v) for v in row) + "\n")
-
-
-def _read_matrix_tsv(path: str) -> np.ndarray:
-    with open(path) as fh:
-        rows = [[float(v) for v in line.split("\t")] for line in fh if line.strip()]
-    return np.array(rows, dtype=np.float64)
-
-
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *rows]) + ("\n" if rows else "\n"))
+        fh.write("\n".join([header, *rows]) + "\n")
 
 
 def _write_fit_tables(out: str, method: str, rho: float, iterations: int, mse: float) -> None:
@@ -160,19 +150,12 @@ def _cmd_synth(args) -> int:
     )
     dataset = generate_dataset(spec)
     write_dataset(args.out, [(subj, dataset.events) for subj in dataset.subjects])
-    _write_matrix_tsv(
+    write_matrix_tsv(
         os.path.join(args.out, "ground_truth_signatures.tsv"),
         dataset.ground_truth.values,
     )
     print(f"wrote {spec.n_subjects} subjects to {args.out}")
     return 0
-
-
-def _fit_eval_numbers(datasets, method_fit):
-    rho = between_class_correlation(method_fit.signatures)
-    designs = [design for _, design in datasets]
-    mse = group_mse(method_fit.mapped_responses, method_fit.subject_signatures, designs)
-    return rho, mse
 
 
 def _cmd_fit(args) -> int:
@@ -186,21 +169,21 @@ def _cmd_fit(args) -> int:
         lasso_alpha=args.lasso_alpha, lasso_iterations=args.lasso_iters,
     )
     t2 = time.perf_counter()
-    rho, mse = _fit_eval_numbers(datasets, method_fit)
+    rho = between_class_correlation(method_fit.signatures)
+    designs = [design for _, design in datasets]
+    mse = group_mse(method_fit.mapped_responses, method_fit.subject_signatures, designs)
     t3 = time.perf_counter()
 
     os.makedirs(out, exist_ok=True)
-    _write_matrix_tsv(os.path.join(out, "signatures.tsv"), method_fit.signatures.values)
-    for (data, _), sig in zip(datasets, method_fit.subject_signatures):
-        _write_matrix_tsv(
+    write_matrix_tsv(os.path.join(out, "signatures.tsv"), method_fit.signatures.values)
+    for (data, _), sig, mapped in zip(
+        datasets, method_fit.subject_signatures, method_fit.mapped_responses
+    ):
+        write_matrix_tsv(
             os.path.join(out, f"sub-{data.subject_id}_signatures.tsv"), sig.values
         )
         if args.method == METHOD_DRSL:
-            idx = [d.subject_id for d, _ in datasets].index(data.subject_id)
-            _write_matrix_tsv(
-                os.path.join(out, f"sub-{data.subject_id}_mapped.tsv"),
-                method_fit.mapped_responses[idx],
-            )
+            write_matrix_tsv(os.path.join(out, f"sub-{data.subject_id}_mapped.tsv"), mapped)
     _write_fit_tables(out, args.method, rho, _total_iterations(args), mse)
     _write_csv(
         os.path.join(out, "runtime.csv"),
@@ -229,18 +212,18 @@ def _cmd_eval(args) -> int:
     out = args.out or args.fit_output
     datasets = _load_standardized(echo["dataset"])
     designs = [design for _, design in datasets]
-    signatures = _read_matrix_tsv(os.path.join(args.fit_output, "signatures.tsv"))
+    signatures = read_matrix_tsv(os.path.join(args.fit_output, "signatures.tsv"))
     rho = between_class_correlation(signatures)
     subject_sigs, responses = [], []
     for data, _ in datasets:
         subject_sigs.append(
-            _read_matrix_tsv(
+            read_matrix_tsv(
                 os.path.join(args.fit_output, f"sub-{data.subject_id}_signatures.tsv")
             )
         )
         mapped_path = os.path.join(args.fit_output, f"sub-{data.subject_id}_mapped.tsv")
         responses.append(
-            _read_matrix_tsv(mapped_path) if os.path.isfile(mapped_path) else data.responses
+            read_matrix_tsv(mapped_path) if os.path.isfile(mapped_path) else data.responses
         )
     mse = group_mse(responses, subject_sigs, designs)
     os.makedirs(out, exist_ok=True)
@@ -344,31 +327,6 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench(args) -> int:
-    methods = [m for m in str(args.methods).split(",") if m]
-    for m in methods:
-        if m not in METHODS:
-            raise DrslError(f"unknown method {m!r}; expected subset of {METHODS}")
-    t0 = time.perf_counter()
-    datasets = _load_standardized(args.dataset)
-    rows = _runtime_rows("all", load=time.perf_counter() - t0)
-    config = _config_from_args(args, datasets[0][0].n_voxels)
-    for method in methods:
-        t1 = time.perf_counter()
-        method_fit = fit_method(
-            datasets, method, config,
-            lasso_alpha=args.lasso_alpha, lasso_iterations=args.lasso_iters,
-        )
-        t2 = time.perf_counter()
-        _fit_eval_numbers(datasets, method_fit)
-        t3 = time.perf_counter()
-        rows += _runtime_rows(method, fit=t2 - t1, eval=t3 - t2)
-        print(f"{method}: fit {(t2 - t1) * 1e3:.1f} ms")
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "runtime.csv"), RUNTIME_HEADER, rows)
-    return 0
-
-
 def _cmd_iters(args) -> int:
     schedule = [int(s) for s in str(args.schedule).split(",") if s]
     if not schedule:
@@ -442,13 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
-
-    p = sub.add_parser("bench", help="per-method wall-clock benchmark")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--methods", default="glm,lasso,lrsl,drsl")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("iters", help="MSE against total iteration count")
     p.add_argument("--dataset", required=True)

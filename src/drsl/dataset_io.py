@@ -69,9 +69,7 @@ def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> Non
     with open(os.path.join(path, MANIFEST_NAME), "w", newline="") as fh:
         fh.write("\n".join(manifest) + "\n")
     for data, events in pairs:
-        with open(os.path.join(path, _bold_name(data.subject_id)), "w", newline="") as fh:
-            for row in data.responses:
-                fh.write("\t".join(fmt(v) for v in row) + "\n")
+        write_matrix_tsv(os.path.join(path, _bold_name(data.subject_id)), data.responses)
         with open(os.path.join(path, _events_name(data.subject_id)), "w", newline="") as fh:
             fh.write(EVENTS_HEADER + "\n")
             for ev in events.events:
@@ -107,13 +105,32 @@ def _read_manifest(path: str) -> dict:
     return {"tr": tr, "n_scans": n_scans, "conditions": conditions, "subjects": subjects}
 
 
-def _read_bold(path: str, name: str, n_scans: int) -> np.ndarray:
-    full = os.path.join(path, name)
-    if not os.path.isfile(full):
+def write_matrix_tsv(path: str, values: np.ndarray) -> None:
+    """One row per line, tab-separated, no header; :func:`fmt` digits."""
+    with open(path, "w", newline="") as fh:
+        for row in np.atleast_2d(values):
+            fh.write("\t".join(fmt(v) for v in row) + "\n")
+
+
+def read_matrix_tsv(path: str) -> np.ndarray:
+    """Read a file written by :func:`write_matrix_tsv`; blank lines are skipped.
+
+    A row of another width or a field that is not a number raises
+    ParseError naming the file, the line and, for a bad field, the column.
+    """
+    name = os.path.basename(path)
+    if not os.path.isfile(path):
         raise MissingFile(f"missing {name}")
-    rows = []
+    try:
+        return np.loadtxt(path, delimiter="\t", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise _locate_parse_error(path, name, exc) from None
+
+
+def _locate_parse_error(path: str, name: str, exc: ValueError) -> ParseError:
+    """Re-scan a file that np.loadtxt rejected, to name the line and column."""
     width = None
-    with open(full) as fh:
+    with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -122,28 +139,25 @@ def _read_bold(path: str, name: str, n_scans: int) -> np.ndarray:
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
-                raise ParseError(
+                return ParseError(
                     f"{name} line {lineno}: expected {width} columns, found {len(fields)}"
                 )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                bad = next(i for i, f in enumerate(fields) if not _is_float(f))
-                raise ParseError(
-                    f"{name} line {lineno} column {bad + 1}: not a number: "
-                    f"{fields[bad]!r}"
-                ) from None
-    if len(rows) != n_scans:
-        raise ManifestMismatch(f"{name} has {len(rows)} rows, manifest says {n_scans}")
-    return np.array(rows, dtype=np.float64)
+            for column, field in enumerate(fields, start=1):
+                try:
+                    float(field)
+                except ValueError:
+                    return ParseError(
+                        f"{name} line {lineno} column {column}: not a number: {field!r}"
+                    )
+    # a spelling Python's float() accepts but np.loadtxt does not, such as 1_0
+    return ParseError(f"{name}: {exc}")
 
 
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def _read_bold(path: str, name: str, n_scans: int) -> np.ndarray:
+    bold = read_matrix_tsv(os.path.join(path, name))
+    if bold.shape[0] != n_scans:
+        raise ManifestMismatch(f"{name} has {bold.shape[0]} rows, manifest says {n_scans}")
+    return bold
 
 
 def _read_events(

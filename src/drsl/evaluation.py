@@ -79,6 +79,20 @@ def between_class_correlation(signatures) -> float:
     return float(min(1.0, np.max(np.abs(np.corrcoef(b)[off_diagonal]))))
 
 
+def _residual(responses, design, signatures) -> np.ndarray:
+    """x - D @ B for one subject, after unwrapping and checking the shapes."""
+    x = _as_responses(responses)
+    b = signatures.values if isinstance(signatures, SignatureMatrix) else np.asarray(
+        signatures, dtype=np.float64
+    )
+    d = design.values if isinstance(design, DesignMatrix) else np.asarray(design)
+    if x.shape[0] != d.shape[0] or d.shape[1] != b.shape[0] or x.shape[1] != b.shape[1]:
+        raise ShapeMismatch(
+            f"inconsistent shapes: X {x.shape}, D {d.shape}, B {b.shape}"
+        )
+    return x - d @ b
+
+
 def group_mse(responses, signatures, designs) -> float:
     """Mean squared reconstruction error pooled over subjects.
 
@@ -95,14 +109,7 @@ def group_mse(responses, signatures, designs) -> float:
     total = 0.0
     count = 0
     for resp, sig, design in zip(responses, signatures, designs):
-        x = _as_responses(resp)
-        b = sig.values if isinstance(sig, SignatureMatrix) else np.asarray(sig)
-        d = design.values if isinstance(design, DesignMatrix) else np.asarray(design)
-        if x.shape[0] != d.shape[0] or d.shape[1] != b.shape[0] or x.shape[1] != b.shape[1]:
-            raise ShapeMismatch(
-                f"inconsistent shapes: X {x.shape}, D {d.shape}, B {b.shape}"
-            )
-        resid = x - d @ b
+        resid = _residual(resp, design, sig)
         total += float(np.sum(resid * resid))
         count += resid.size
     return total / count
@@ -110,47 +117,23 @@ def group_mse(responses, signatures, designs) -> float:
 
 def residual_scale(data, design, signatures) -> np.ndarray:
     """Per-feature RMS of the model residual, floored at 1e-8."""
-    x = _as_responses(data)
-    b = signatures.values if isinstance(signatures, SignatureMatrix) else np.asarray(
-        signatures, dtype=np.float64
-    )
-    d = design.values if isinstance(design, DesignMatrix) else np.asarray(design)
-    if x.shape[0] != d.shape[0] or d.shape[1] != b.shape[0] or x.shape[1] != b.shape[1]:
-        raise ShapeMismatch(
-            f"inconsistent shapes: X {x.shape}, D {d.shape}, B {b.shape}"
-        )
-    resid = x - d @ b
+    resid = _residual(data, design, signatures)
     rms = np.sqrt(np.mean(resid * resid, axis=0))
     return np.maximum(rms, _RESIDUAL_FLOOR)
 
 
 def pooled_residual_scale(responses, designs, signatures: SignatureMatrix) -> np.ndarray:
     """Residual scale pooled over several subjects sharing one signature set."""
-    b = signatures.values
     total = None
     rows = 0
     for resp, design in zip(responses, designs):
-        x = _as_responses(resp)
-        d = design.values if isinstance(design, DesignMatrix) else np.asarray(design)
-        resid = x - d @ b
+        resid = _residual(resp, design, signatures)
         sq = np.sum(resid * resid, axis=0)
         total = sq if total is None else total + sq
         rows += resid.shape[0]
     if total is None or rows == 0:
         raise ShapeMismatch("no responses to pool")
     return np.maximum(np.sqrt(total / rows), _RESIDUAL_FLOOR)
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Binary separator for one class pair (i < j); positive side is class i."""
-
-    pair: tuple[int, int]
-    normal: np.ndarray
-    offset: float
-
-    def decide(self, sample: np.ndarray) -> int:
-        return 1 if float(self.normal @ sample) + self.offset >= 0.0 else -1
 
 
 @dataclass(frozen=True)
@@ -162,42 +145,51 @@ class EcocCodebook:
 
 
 def ecoc_codebook(p: int) -> EcocCodebook:
-    """Column per class pair (i, j): +1 at row i, -1 at row j, 0 elsewhere."""
+    """Column per class pair (i, j): +1 at row i, -1 at row j, 0 elsewhere.
+
+    Columns follow ``np.triu_indices(p, 1)``, the pair order of
+    :func:`build_hyperplanes`.
+    """
     if p < 2:
         raise DrslError(f"codebook needs >= 2 classes, got {p}")
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    codes = np.zeros((p, len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        codes[i, col] = 1.0
-        codes[j, col] = -1.0
-    return EcocCodebook(codes=codes, pairs=tuple(pairs))
+    first, second = np.triu_indices(p, 1)
+    columns = np.arange(first.size)
+    codes = np.zeros((p, first.size))
+    codes[first, columns] = 1.0
+    codes[second, columns] = -1.0
+    return EcocCodebook(codes=codes, pairs=tuple(zip(first.tolist(), second.tolist())))
 
 
-def hamming_decode(bits: np.ndarray, codebook: EcocCodebook) -> int:
+def hamming_decode(bits, codebook: EcocCodebook):
     """Class whose codeword is Hamming-nearest, counting nonzero entries only.
 
-    Ties break toward the lowest class index.
+    ``bits`` is one codeword (pairs,), decoded to an int, or a block
+    (n, pairs), decoded to an (n,) array. Ties break toward the lowest
+    class index.
     """
     bits = np.asarray(bits, dtype=np.float64)
-    if bits.shape[0] != codebook.codes.shape[1]:
+    if bits.shape[-1:] != (codebook.codes.shape[1],):
         raise ShapeMismatch(
-            f"{bits.shape[0]} bits for {codebook.codes.shape[1]} codebook columns"
+            f"bits of shape {bits.shape} for {codebook.codes.shape[1]} codebook columns"
         )
     active = codebook.codes != 0
-    distances = np.sum(active & (codebook.codes != bits), axis=1)
-    return int(np.argmin(distances))
+    distances = np.sum(active & (codebook.codes != bits[..., None, :]), axis=-1)
+    labels = np.argmin(distances, axis=-1)
+    return int(labels) if bits.ndim == 1 else labels
 
 
 def build_hyperplanes(
     signatures: SignatureMatrix,
     scale: np.ndarray,
     class_means: np.ndarray | None = None,
-) -> list[Hyperplane]:
-    """One hyperplane per signature pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One hyperplane per signature pair, as (normals, offsets).
 
-    The normal is the signature difference weighted elementwise by
-    1/scale (inverse-noise whitening); the offset places the boundary at
-    the midpoint of the two projected class means. ``class_means`` defaults
+    Row k of the (pairs, V) ``normals`` separates the k-th pair (i, j) of
+    ``np.triu_indices(P, 1)``, class i on the positive side. The normal is
+    the signature difference weighted elementwise by 1/scale
+    (inverse-noise whitening); the offset places the boundary at the
+    midpoint of the two projected class means. ``class_means`` defaults
     to the signature rows themselves.
     """
     b = signatures.values
@@ -214,26 +206,31 @@ def build_hyperplanes(
         raise ShapeMismatch(
             f"class means have shape {means.shape}, expected {b.shape}"
         )
-    planes = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            if np.array_equal(b[i], b[j]):
-                raise DegeneratePair(f"signatures {i} and {j} are identical")
-            normal = (b[i] - b[j]) / scale
-            midpoint = 0.5 * (normal @ means[i] + normal @ means[j])
-            planes.append(Hyperplane(pair=(i, j), normal=normal, offset=-midpoint))
-    return planes
+    first, second = np.triu_indices(p, 1)
+    same = np.all(b[first] == b[second], axis=1)
+    if same.any():
+        k = int(np.argmax(same))
+        raise DegeneratePair(f"signatures {first[k]} and {second[k]} are identical")
+    normals = (b[first] - b[second]) / scale
+    midpoints = 0.5 * (
+        np.einsum("kv,kv->k", normals, means[first])
+        + np.einsum("kv,kv->k", normals, means[second])
+    )
+    return normals, -midpoints
 
 
-def predict(sample, hyperplanes, codebook: EcocCodebook) -> int:
-    """Classify one sample: pairwise decisions decoded by Hamming distance."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
-    if len(hyperplanes) != codebook.codes.shape[1]:
-        raise ShapeMismatch(
-            f"{len(hyperplanes)} hyperplanes for {codebook.codes.shape[1]} "
-            "codebook columns"
-        )
-    bits = np.array([plane.decide(x) for plane in hyperplanes], dtype=np.float64)
+def predict(samples, hyperplanes, codebook: EcocCodebook):
+    """Classify a (V,) scan to an int, or an (n, V) block to an (n,) array.
+
+    Each pair votes +1 when its score is >= 0, and the votes are decoded
+    by :func:`hamming_decode`, which rejects a plane count other than the
+    codebook's column count.
+    """
+    normals, offsets = hyperplanes
+    x = np.asarray(samples, dtype=np.float64)
+    if x.shape[-1:] != (normals.shape[1],):
+        raise ShapeMismatch(f"samples of shape {x.shape} for {normals.shape[1]} features")
+    bits = np.where(x @ normals.T + offsets >= 0.0, 1.0, -1.0)
     return hamming_decode(bits, codebook)
 
 
@@ -437,8 +434,7 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
         else:
             test_responses = test_data.responses[idx]
         confusion = np.zeros((p, p), dtype=np.int64)
-        for sample, label in zip(test_responses, labels):
-            confusion[label, predict(sample, planes, codebook)] += 1
+        np.add.at(confusion, (labels, predict(test_responses, planes, codebook)), 1)
         accuracies.append(float(np.trace(confusion)) / idx.size)
         confusions.append(confusion)
         subject_ids.append(test_data.subject_id)

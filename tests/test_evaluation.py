@@ -9,6 +9,7 @@ from drsl.errors import (
     ConstantVector,
     DegeneratePair,
     LengthMismatch,
+    ShapeMismatch,
     TooFewSubjects,
 )
 from drsl.evaluation import (
@@ -22,6 +23,7 @@ from drsl.evaluation import (
     group_mse,
     hamming_decode,
     pearson_corr,
+    pooled_residual_scale,
     predict,
     residual_scale,
 )
@@ -168,30 +170,36 @@ class TestResidualScale:
         ]
         np.testing.assert_allclose(residual_scale(x, d, b), oracle, atol=1e-10)
 
+    def test_pooled_scale_rejects_inconsistent_shapes(self):
+        rng = np.random.default_rng(10)
+        d = rng.standard_normal((10, 3))
+        b = SignatureMatrix(rng.standard_normal((3, 5)))
+        with pytest.raises(ShapeMismatch, match="inconsistent shapes"):
+            pooled_residual_scale([rng.standard_normal((10, 4))], [d], b)
+
 
 class TestHyperplanes:
     def test_unit_scale_gives_signature_difference(self):
         b = SignatureMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        planes = build_hyperplanes(b, np.ones(2))
-        np.testing.assert_array_equal(planes[0].normal, [2.0, -1.0])
+        normals, _ = build_hyperplanes(b, np.ones(2))
+        np.testing.assert_array_equal(normals, [[2.0, -1.0]])
 
     def test_hand_computed_midpoint(self):
         b = SignatureMatrix(np.array([[2.0, 0.0], [0.0, 0.0], [5.0, 5.0]])[:2])
         means = np.array([[2.0, 0.0], [0.0, 0.0]])
-        planes = build_hyperplanes(b, np.ones(2), means)
-        plane = planes[0]
+        normals, offsets = build_hyperplanes(b, np.ones(2), means)
         # projections of the class means are 4 and 0, midpoint 2
-        assert plane.offset == pytest.approx(-2.0)
-        assert plane.decide(np.array([2.0, 0.0])) == 1
+        assert offsets[0] == pytest.approx(-2.0)
+        assert predict(np.array([2.0, 0.0]), (normals, offsets), ecoc_codebook(2)) == 0
 
     def test_swap_antisymmetry(self):
         rng = np.random.default_rng(9)
         b = rng.standard_normal((2, 5))
         scale = rng.uniform(0.5, 2.0, size=5)
-        planes = build_hyperplanes(SignatureMatrix(b), scale)
-        flipped = build_hyperplanes(SignatureMatrix(b[::-1].copy()), scale)
-        np.testing.assert_allclose(planes[0].normal, -flipped[0].normal, atol=1e-12)
-        assert planes[0].offset == pytest.approx(-flipped[0].offset)
+        normals, offsets = build_hyperplanes(SignatureMatrix(b), scale)
+        flipped, flipped_offsets = build_hyperplanes(SignatureMatrix(b[::-1].copy()), scale)
+        np.testing.assert_allclose(normals, -flipped, atol=1e-12)
+        assert offsets[0] == pytest.approx(-flipped_offsets[0])
 
     def test_degenerate_pair(self):
         row = np.ones(4)
@@ -199,11 +207,18 @@ class TestHyperplanes:
         with pytest.raises(DegeneratePair):
             build_hyperplanes(b, np.ones(4))
 
+    def test_degenerate_pair_names_the_first_identical_pair(self):
+        b = np.arange(20.0).reshape(5, 4)
+        b[4] = b[3]
+        b[2] = b[1]
+        with pytest.raises(DegeneratePair, match="signatures 1 and 2 "):
+            build_hyperplanes(SignatureMatrix(b), np.ones(4))
+
     def test_inverse_noise_weighting(self):
         b = SignatureMatrix(np.array([[4.0, 2.0], [0.0, 0.0]]))
         scale = np.array([2.0, 0.5])
-        planes = build_hyperplanes(b, scale)
-        np.testing.assert_allclose(planes[0].normal, [2.0, 4.0])
+        normals, _ = build_hyperplanes(b, scale)
+        np.testing.assert_allclose(normals, [[2.0, 4.0]])
 
 
 class TestEcoc:
@@ -278,13 +293,87 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         sig = SignatureMatrix(rng.standard_normal((3, 5)))
         planes = build_hyperplanes(sig, np.ones(5))
-        scaled = [
-            type(pl)(pair=pl.pair, normal=pl.normal * gain, offset=pl.offset * gain)
-            for pl in planes
-        ]
+        normals, offsets = planes
+        scaled = (normals * gain, offsets * gain)
         cb = ecoc_codebook(3)
         x = rng.standard_normal(5)
         assert predict(x, planes, cb) == predict(x, scaled, cb)
+
+
+def _loop_hyperplanes(b, scale, means):
+    """Reference: one (normal, offset) per pair (i < j), built pair by pair."""
+    planes = []
+    for i in range(b.shape[0]):
+        for j in range(i + 1, b.shape[0]):
+            normal = (b[i] - b[j]) / scale
+            planes.append((normal, -0.5 * (normal @ means[i] + normal @ means[j])))
+    return planes
+
+
+def _loop_predict(sample, planes, codebook):
+    """Reference: per-plane decisions, then the nearest codeword over nonzero
+    entries, lowest class on a tie."""
+    bits = [1.0 if float(normal @ sample) + offset >= 0.0 else -1.0 for normal, offset in planes]
+    best, best_distance = 0, None
+    for cls, code in enumerate(codebook.codes):
+        distance = sum(1 for c, bit in zip(code, bits) if c != 0 and c != bit)
+        if best_distance is None or distance < best_distance:
+            best, best_distance = cls, distance
+    return best
+
+
+class TestArrayPathMatchesLoop:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_labels_identical_to_the_per_scan_loop(self, p):
+        rng = np.random.default_rng(100 + p)
+        v = 7
+        b = rng.standard_normal((p, v))
+        scale = rng.uniform(0.2, 3.0, size=v)
+        means = b + 0.3 * rng.standard_normal((p, v))
+        normals, offsets = build_hyperplanes(SignatureMatrix(b), scale, means)
+        loop = _loop_hyperplanes(b, scale, means)
+        np.testing.assert_array_equal(normals, [normal for normal, _ in loop])
+        np.testing.assert_allclose(offsets, [offset for _, offset in loop], rtol=1e-12)
+        cb = ecoc_codebook(p)
+        scans = np.vstack([rng.standard_normal((200, v)) * 2.0, b, means])
+        labels = predict(scans, (normals, offsets), cb)
+        assert labels.shape == (scans.shape[0],)
+        expected = [_loop_predict(x, loop, cb) for x in scans]
+        np.testing.assert_array_equal(labels, expected)
+        assert [predict(x, (normals, offsets), cb) for x in scans] == expected
+
+    def test_score_of_exactly_zero_decides_plus_one(self):
+        b = SignatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        planes = build_hyperplanes(b, np.ones(2))
+        normals, offsets = planes
+        on_plane = np.array([0.0, 5.0])
+        assert on_plane @ normals[0] + offsets[0] == 0.0
+        cb = ecoc_codebook(2)
+        assert predict(on_plane, planes, cb) == 0
+        np.testing.assert_array_equal(predict(np.vstack([on_plane, -on_plane]), planes, cb), [0, 0])
+        assert _loop_predict(on_plane, _loop_hyperplanes(b.values, np.ones(2), b.values), cb) == 0
+
+    def test_tie_goes_to_the_lowest_class(self):
+        cb = ecoc_codebook(3)
+        # the cyclic votes 0 > 1, 2 > 0, 1 > 2 leave every class one vote short
+        bits = np.array([1.0, -1.0, 1.0])
+        assert hamming_decode(bits, cb) == 0
+        assert hamming_decode(-bits, cb) == 0
+        # planes that make these scans vote cyclically decode the same way
+        normals = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+        scans = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        np.testing.assert_array_equal(predict(scans, (normals, np.zeros(3)), cb), [0, 0])
+        loop = [(normal, 0.0) for normal in normals]
+        assert [_loop_predict(x, loop, cb) for x in scans] == [0, 0]
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_block_decode_equals_row_by_row(self, p):
+        rng = np.random.default_rng(p)
+        cb = ecoc_codebook(p)
+        bits = rng.choice([-1.0, 0.0, 1.0], size=(300, cb.codes.shape[1]))
+        labels = hamming_decode(bits, cb)
+        assert labels.shape == (300,)
+        assert labels.tolist() == [hamming_decode(row, cb) for row in bits]
 
 
 class TestDominantTimePoints:

@@ -72,6 +72,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match="line 5"):
             read_dataset(path)
 
+    def test_python_only_float_spelling_rejected(self, small_dataset):
+        path, _ = small_dataset
+        bold = os.path.join(path, "sub-02_bold.tsv")
+        lines = open(bold).read().splitlines()
+        fields = lines[6].split("\t")
+        fields[0] = "1_0"
+        lines[6] = "\t".join(fields)
+        open(bold, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="sub-02_bold.tsv: .*'1_0'"):
+            read_dataset(path)
+
     def test_negative_onset_rejected(self, small_dataset):
         path, _ = small_dataset
         events = os.path.join(path, "sub-02_events.tsv")
@@ -182,6 +193,29 @@ class TestCli:
         assert open(os.path.join(eval_out, "correlation.csv")).read() == corr_before
         assert open(os.path.join(eval_out, "mse.csv")).read() == mse_before
 
+    @pytest.mark.parametrize(
+        "corrupt, where",
+        [
+            (lambda fields: fields[:1] + ["oops"] + fields[2:], "line 2 column 2"),
+            (lambda fields: fields[:-1], "line 2"),
+        ],
+        ids=["non-number", "ragged-row"],
+    )
+    def test_eval_malformed_signatures_exit_1(self, tmp_path, capsys, corrupt, where):
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
+             "--conditions", "3", "--seed", "2", "--out", data_dir])
+        fit_out = str(tmp_path / "fit")
+        assert run(["fit", "--dataset", data_dir, "--method", "glm", "--out", fit_out]) == 0
+        path = os.path.join(fit_out, "signatures.tsv")
+        lines = open(path).read().splitlines()
+        lines[1] = "\t".join(corrupt(lines[1].split("\t")))
+        open(path, "w").write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--fit-output", fit_out]) == 1
+        err = capsys.readouterr().err
+        assert f"signatures.tsv {where}" in err
+
     def test_config_echo_reproduces_run(self, tmp_path):
         data_dir = str(tmp_path / "d")
         run(["synth", "--subjects", "3", "--scans", "120", "--voxels", "10",
@@ -203,43 +237,6 @@ class TestCli:
         assert open(os.path.join(out1, "correlation.csv")).read() == open(
             os.path.join(out2, "correlation.csv")
         ).read()
-
-    def test_bench_writes_runtime_rows(self, tmp_path):
-        data_dir = str(tmp_path / "d")
-        run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
-             "--conditions", "2", "--seed", "2", "--out", data_dir])
-        out = str(tmp_path / "bench")
-        assert run([
-            "bench", "--dataset", data_dir, "--methods", "glm,lasso",
-            "--out", out,
-        ]) == 0
-        with open(os.path.join(out, "runtime.csv")) as fh:
-            rows = list(csv.DictReader(fh))
-        assert {(r["method"], r["phase"]) for r in rows} == {
-            ("all", "load"),
-            ("glm", "fit"), ("glm", "eval"),
-            ("lasso", "fit"), ("lasso", "eval"),
-        }
-
-    def test_bench_reads_the_dataset_once(self, tmp_path, monkeypatch):
-        import drsl.cli as cli
-
-        data_dir = str(tmp_path / "d")
-        run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
-             "--conditions", "2", "--seed", "2", "--out", data_dir])
-        reads = []
-        original = cli.read_dataset
-
-        def spy(path, *args, **kwargs):
-            reads.append(path)
-            return original(path, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "read_dataset", spy)
-        out = str(tmp_path / "bench")
-        assert run([
-            "bench", "--dataset", data_dir, "--methods", "glm,lasso", "--out", out,
-        ]) == 0
-        assert reads == [data_dir]
 
     def test_fit_and_cv_runtime_phases(self, tmp_path):
         data_dir = str(tmp_path / "d")
