@@ -20,7 +20,7 @@ from .data_model import (
     SubjectData,
     validate_pair,
 )
-from .errors import BadAlpha, BadStep
+from .errors import DrslError
 from .optimizer import GroupFit, fit, gram_bound, soft_threshold
 
 
@@ -52,22 +52,18 @@ def fit_lasso(
     data: SubjectData,
     design: DesignMatrix,
     alpha_lasso: float = 0.9,
-    eta: float | None = None,
     iterations: int = 500,
 ) -> SignatureMatrix:
     """Minimize ||X - D B||_F^2 + alpha_lasso * sum|beta| by proximal gradient.
 
-    ``eta=None`` picks a step below the stability limit automatically. The
+    The step is :func:`lasso_step_size`, below the stability limit. The
     gradient -2 (D^T X - D^T D B) comes from D^T D and D^T X, formed once,
     so an iteration costs O(P^2 V) instead of O(T P V).
     """
     validate_pair(data, design)
-    if alpha_lasso < 0:
-        raise BadAlpha(f"alpha_lasso must be >= 0, got {alpha_lasso}")
-    if eta is None:
-        eta = lasso_step_size(design)
-    if eta <= 0:
-        raise BadStep(f"eta must be > 0, got {eta}")
+    if not alpha_lasso >= 0:
+        raise DrslError(f"alpha_lasso must be >= 0, got {alpha_lasso}")
+    eta = lasso_step_size(design)
     d = design.values
     gram = d.T @ d
     dtx = d.T @ data.responses

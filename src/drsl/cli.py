@@ -32,7 +32,7 @@ from .dataset_io import (
     write_dataset,
     write_matrix_tsv,
 )
-from .errors import DrslError
+from .errors import DrslError, ParseError
 from .evaluation import (
     METHOD_DRSL,
     METHODS,
@@ -73,10 +73,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lasso-iters", type=int, default=500)
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(s) for s in str(text).split(",") if s]
+    except ValueError:
+        raise DrslError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _config_from_args(args, v_org: int | None) -> FitConfig:
     layer_sizes = None
     if args.layers:
-        widths = tuple(int(w) for w in str(args.layers).split(",") if w)
+        widths = _int_list("--layers", args.layers)
         if v_org is None:
             raise DrslError("--layers needs a dataset to infer the input width")
         layer_sizes = (v_org, *widths)
@@ -205,10 +212,23 @@ def _total_iterations(args) -> int:
     return 0
 
 
+_RUN_KEYS = ("dataset", "method", "m1", "m2", "lasso_iters")
+
+
+def _read_run_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            echo = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"run.json is not JSON: {exc}") from None
+    missing = [k for k in _RUN_KEYS if k not in echo] if isinstance(echo, dict) else _RUN_KEYS
+    if missing:
+        raise ParseError(f"run.json lacks {', '.join(missing)}")
+    return echo
+
+
 def _cmd_eval(args) -> int:
-    run_path = os.path.join(args.fit_output, "run.json")
-    with open(run_path) as fh:
-        echo = json.load(fh)
+    echo = _read_run_json(os.path.join(args.fit_output, "run.json"))
     out = args.out or args.fit_output
     datasets = _load_standardized(echo["dataset"])
     designs = [design for _, design in datasets]
@@ -328,7 +348,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_iters(args) -> int:
-    schedule = [int(s) for s in str(args.schedule).split(",") if s]
+    schedule = _int_list("--schedule", args.schedule)
     if not schedule:
         raise DrslError("empty --schedule")
     datasets = _load_standardized(args.dataset)

@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadAlpha,
-    BadArchitecture,
-    BadStep,
-    DrslError,
-    EmptyDesign,
-    NonFinite,
-    ShapeMismatch,
-    TooFewRows,
-)
+from .errors import DrslError, NonFinite, ShapeMismatch
 
 
 def as_matrix(values, name: str = "values") -> np.ndarray:
@@ -164,7 +155,7 @@ class NetworkParameters:
         sizes = tuple(int(s) for s in self.layer_sizes)
         validate_layer_sizes(sizes)
         if len(self.layers) != len(sizes) - 1:
-            raise BadArchitecture(
+            raise ShapeMismatch(
                 f"{len(self.layers)} layers for {len(sizes)} layer sizes"
             )
         frozen = []
@@ -172,12 +163,12 @@ class NetworkParameters:
             w = as_matrix(w, f"weight {m + 2}")
             b = as_vector(b, f"bias {m + 2}")
             if w.shape != (sizes[m + 1], sizes[m]):
-                raise BadArchitecture(
+                raise ShapeMismatch(
                     f"weight {m + 2} has shape {w.shape}, expected "
                     f"{(sizes[m + 1], sizes[m])}"
                 )
             if b.shape != (sizes[m + 1],):
-                raise BadArchitecture(
+                raise ShapeMismatch(
                     f"bias {m + 2} has length {b.shape[0]}, expected {sizes[m + 1]}"
                 )
             frozen.append((w, b))
@@ -195,11 +186,11 @@ class NetworkParameters:
 
 def validate_layer_sizes(sizes: tuple[int, ...]) -> None:
     if len(sizes) < 3:
-        raise BadArchitecture(f"need at least 3 layers (input/hidden/output), got {sizes}")
+        raise ShapeMismatch(f"need at least 3 layers (input/hidden/output), got {sizes}")
     if any(s < 1 for s in sizes):
-        raise BadArchitecture(f"layer sizes must be positive, got {sizes}")
+        raise ShapeMismatch(f"layer sizes must be positive, got {sizes}")
     if sizes[-1] > sizes[0]:
-        raise BadArchitecture(
+        raise ShapeMismatch(
             f"output dim {sizes[-1]} exceeds input dim {sizes[0]}; the mapped "
             "space cannot be wider than the voxel space"
         )
@@ -232,19 +223,20 @@ class FitConfig:
         object.__setattr__(self, "activation", Activation(self.activation))
         object.__setattr__(self, "init", InitScheme(self.init))
         object.__setattr__(self, "regularizer", RegularizerMode(self.regularizer))
-        if self.alpha < 1.0:
-            raise BadAlpha(f"alpha must be >= 1, got {self.alpha}")
-        if self.eta <= 0.0:
-            raise BadStep(f"eta must be > 0, got {self.eta}")
-        if self.m1 < 0 or self.m2 < 0:
+        # each guard is written so that NaN fails it
+        if not self.alpha >= 1.0:
+            raise DrslError(f"alpha must be >= 1, got {self.alpha}")
+        if not self.eta > 0.0:
+            raise DrslError(f"eta must be > 0, got {self.eta}")
+        if not (self.m1 >= 0 and self.m2 >= 0):
             raise DrslError(f"iteration counts must be >= 0, got m1={self.m1} m2={self.m2}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise DrslError(f"batch size must be >= 1, got {self.batch_size}")
         if not (0.0 < self.mu1 < 1.0 and 0.0 < self.mu2 < 1.0):
             raise DrslError(f"Adam moments must lie in (0, 1), got {self.mu1}, {self.mu2}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise DrslError(f"Adam epsilon must be > 0, got {self.epsilon}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise DrslError(f"seed must be non-negative, got {self.seed}")
         if self.layer_sizes is not None:
             sizes = tuple(int(s) for s in self.layer_sizes)
@@ -255,16 +247,16 @@ class FitConfig:
 def validate_pair(data: SubjectData, design: DesignMatrix) -> None:
     """Check that responses and design describe the same scan run.
 
-    Raises ShapeMismatch when time points differ, EmptyDesign when the
-    design has fewer than two conditions, and NonFinite when either matrix
-    contains NaN or infinite entries.
+    Raises ShapeMismatch when time points differ or the design has fewer
+    than two conditions, and NonFinite when either matrix contains NaN or
+    infinite entries.
     """
     if data.n_scans != design.n_scans:
         raise ShapeMismatch(
             f"responses have {data.n_scans} scans but design has {design.n_scans}"
         )
     if design.n_conditions < 2:
-        raise EmptyDesign(f"design needs >= 2 conditions, got {design.n_conditions}")
+        raise ShapeMismatch(f"design needs >= 2 conditions, got {design.n_conditions}")
     if not np.all(np.isfinite(data.responses)):
         raise NonFinite(f"responses of subject {data.subject_id!r} contain NaN/Inf")
     if not np.all(np.isfinite(design.values)):
@@ -281,7 +273,7 @@ def standardize_columns(data: SubjectData) -> SubjectData:
     """
     x = data.responses
     if x.shape[0] < 2:
-        raise TooFewRows(f"standardization needs >= 2 rows, got {x.shape[0]}")
+        raise ShapeMismatch(f"standardization needs >= 2 rows, got {x.shape[0]}")
     constant = x.max(axis=0) == x.min(axis=0)
     std = x.std(axis=0, ddof=1)
     safe = np.where(std > 0, std, 1.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data_model import DesignMatrix, FitConfig, SubjectData
 from .design import Event, EventTable, build_design_matrix, canonical_hrf
-from .errors import DrslError, ManifestMismatch, MissingFile, ParseError
+from .errors import DrslError, ParseError
 
 MANIFEST_NAME = "manifest.txt"
 EVENTS_HEADER = "onset\tduration\tcondition"
@@ -52,11 +52,11 @@ def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> Non
     conditions = pairs[0][1].conditions
     for data, events in pairs:
         if events.tr != tr or events.n_scans != n_scans or events.conditions != conditions:
-            raise ManifestMismatch(
+            raise ParseError(
                 f"subject {data.subject_id!r} disagrees with the shared scan grid"
             )
         if data.n_scans != n_scans:
-            raise ManifestMismatch(
+            raise ParseError(
                 f"subject {data.subject_id!r} has {data.n_scans} scans, manifest says {n_scans}"
             )
     os.makedirs(path, exist_ok=True)
@@ -79,7 +79,7 @@ def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> Non
 def _read_manifest(path: str) -> dict:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
-        raise MissingFile(f"no {MANIFEST_NAME} in {path}")
+        raise ParseError(f"no {MANIFEST_NAME} in {path}")
     entries = {}
     with open(manifest_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -106,10 +106,8 @@ def _read_manifest(path: str) -> dict:
 
 
 def write_matrix_tsv(path: str, values: np.ndarray) -> None:
-    """One row per line, tab-separated, no header; :func:`fmt` digits."""
-    with open(path, "w", newline="") as fh:
-        for row in np.atleast_2d(values):
-            fh.write("\t".join(fmt(v) for v in row) + "\n")
+    """One row per line, tab-separated, no header; 17 digits, as :func:`fmt`."""
+    np.savetxt(path, np.atleast_2d(values), fmt="%.17g", delimiter="\t")
 
 
 def read_matrix_tsv(path: str) -> np.ndarray:
@@ -120,7 +118,7 @@ def read_matrix_tsv(path: str) -> np.ndarray:
     """
     name = os.path.basename(path)
     if not os.path.isfile(path):
-        raise MissingFile(f"missing {name}")
+        raise ParseError(f"missing {name}")
     try:
         return np.loadtxt(path, delimiter="\t", ndmin=2, comments=None)
     except ValueError as exc:
@@ -156,7 +154,7 @@ def _locate_parse_error(path: str, name: str, exc: ValueError) -> ParseError:
 def _read_bold(path: str, name: str, n_scans: int) -> np.ndarray:
     bold = read_matrix_tsv(os.path.join(path, name))
     if bold.shape[0] != n_scans:
-        raise ManifestMismatch(f"{name} has {bold.shape[0]} rows, manifest says {n_scans}")
+        raise ParseError(f"{name} has {bold.shape[0]} rows, manifest says {n_scans}")
     return bold
 
 
@@ -165,7 +163,7 @@ def _read_events(
 ) -> EventTable:
     full = os.path.join(path, name)
     if not os.path.isfile(full):
-        raise MissingFile(f"missing {name}")
+        raise ParseError(f"missing {name}")
     events = []
     with open(full) as fh:
         header = fh.readline().rstrip("\n")
@@ -184,17 +182,17 @@ def _read_events(
             except ValueError:
                 raise ParseError(f"{name} line {lineno}: bad number") from None
             condition = fields[2]
-            if onset < 0:
-                raise ParseError(f"{name} line {lineno}: negative onset {onset}")
-            if duration < 0:
-                raise ParseError(f"{name} line {lineno}: negative duration {duration}")
+            if not onset >= 0:
+                raise ParseError(f"{name} line {lineno}: onset must be >= 0, got {onset}")
+            if not duration >= 0:
+                raise ParseError(f"{name} line {lineno}: duration must be >= 0, got {duration}")
             if onset + duration > n_scans * tr + 1e-9:
                 raise ParseError(
                     f"{name} line {lineno}: event ends at {onset + duration}s, "
                     f"after the {n_scans * tr}s scan window"
                 )
             if condition not in conditions:
-                raise ManifestMismatch(
+                raise ParseError(
                     f"{name} line {lineno}: condition {condition!r} not in manifest"
                 )
             events.append(Event(onset=onset, duration=duration, condition=condition))
@@ -203,10 +201,10 @@ def _read_events(
     )
 
 
-def read_dataset(path: str, hrf_length_s: float = 32.0) -> list[tuple[SubjectData, DesignMatrix]]:
+def read_dataset(path: str) -> list[tuple[SubjectData, DesignMatrix]]:
     """Load every subject and build its design matrix from the event files."""
     manifest = _read_manifest(path)
-    hrf = canonical_hrf(manifest["tr"], hrf_length_s)
+    hrf = canonical_hrf(manifest["tr"])
     out = []
     n_voxels = None
     for sid in manifest["subjects"]:
@@ -214,7 +212,7 @@ def read_dataset(path: str, hrf_length_s: float = 32.0) -> list[tuple[SubjectDat
         if n_voxels is None:
             n_voxels = bold.shape[1]
         elif bold.shape[1] != n_voxels:
-            raise ManifestMismatch(
+            raise ParseError(
                 f"{_bold_name(sid)} has {bold.shape[1]} columns, other subjects have {n_voxels}"
             )
         events = _read_events(

@@ -1,10 +1,10 @@
 """Design-matrix construction: condition onsets convolved with an HRF.
 
 The HRF is the canonical double-gamma form, h(t) = pdf_gamma(t; 6, 1) -
-(1/6) * pdf_gamma(t; 16, 1), sampled at TR resolution over a 32 s support.
-All parameters can be overridden. Boxcars have unit amplitude regardless of
-duration and there is no microtime upsampling, so every column is checkable
-against a direct discrete convolution.
+(1/6) * pdf_gamma(t; 16, 1), sampled at TR resolution over a fixed 32 s
+support. Boxcars have unit amplitude regardless of duration and there is no
+microtime upsampling, so every column is checkable against a direct
+discrete convolution.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DesignMatrix, as_vector
-from .errors import BadParams, DrslError, EmptyDesign, UnknownCondition
+from .data_model import DesignMatrix
+from .errors import DrslError, ShapeMismatch
+
+HRF_LENGTH_S = 32.0
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,9 @@ class Event:
     condition: str
 
     def __post_init__(self):
-        if self.onset < 0:
+        if not self.onset >= 0:
             raise DrslError(f"event onset must be >= 0, got {self.onset}")
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise DrslError(f"event duration must be >= 0, got {self.duration}")
 
 
@@ -48,9 +50,9 @@ class EventTable:
     conditions: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.tr <= 0:
-            raise BadParams(f"tr must be > 0, got {self.tr}")
-        if self.n_scans < 1:
+        if not self.tr > 0:
+            raise DrslError(f"tr must be > 0, got {self.tr}")
+        if not self.n_scans >= 1:
             raise DrslError(f"n_scans must be >= 1, got {self.n_scans}")
         events = tuple(self.events)
         total = self.n_scans * self.tr
@@ -63,7 +65,7 @@ class EventTable:
         seen = sorted({ev.condition for ev in events})
         conds = tuple(self.conditions) if self.conditions else tuple(seen)
         if not set(seen) <= set(conds):
-            raise UnknownCondition(
+            raise DrslError(
                 f"events name conditions {seen} outside the declared set {conds}"
             )
         if not conds:
@@ -72,66 +74,28 @@ class EventTable:
         object.__setattr__(self, "conditions", tuple(sorted(conds)))
 
 
-@dataclass(frozen=True)
-class HrfKernel:
-    """HRF samples at TR resolution plus the generating parameters."""
-
-    samples: np.ndarray
-    tr: float
-    peak_delay: float = 6.0
-    undershoot_delay: float = 16.0
-    peak_disp: float = 1.0
-    undershoot_disp: float = 1.0
-    undershoot_ratio: float = 1.0 / 6.0
-    length_s: float = 32.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", as_vector(self.samples, "hrf samples"))
-
-
-def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
-    # gamma density; zero at t <= 0 for shape > 1
+def _gamma_pdf(t: np.ndarray, shape: float) -> np.ndarray:
+    # unit-scale gamma density; zero at t <= 0 for shape > 1
     out = np.zeros_like(t)
     pos = t > 0
-    x = t[pos] / scale
-    out[pos] = np.exp(
-        (shape - 1.0) * np.log(x) - x - math.lgamma(shape)
-    ) / scale
+    x = t[pos]
+    out[pos] = np.exp((shape - 1.0) * np.log(x) - x - math.lgamma(shape))
     return out
 
 
-def canonical_hrf(
-    tr: float,
-    length_s: float = 32.0,
-    peak_delay: float = 6.0,
-    undershoot_delay: float = 16.0,
-    peak_disp: float = 1.0,
-    undershoot_disp: float = 1.0,
-    undershoot_ratio: float = 1.0 / 6.0,
-) -> HrfKernel:
-    """Sample the double-gamma HRF at t = 0, tr, 2*tr, ...
+def canonical_hrf(tr: float) -> np.ndarray:
+    """Read-only double-gamma samples at t = 0, tr, 2*tr, ...
 
-    The kernel has ceil(length_s / tr) samples and h(0) = 0 exactly.
+    There are ceil(HRF_LENGTH_S / tr) samples and h(0) = 0 exactly.
     """
-    if tr <= 0:
-        raise BadParams(f"tr must be > 0, got {tr}")
-    if length_s < tr:
-        raise BadParams(f"length_s must be >= tr, got {length_s} < {tr}")
-    n = math.ceil(length_s / tr)
-    t = np.arange(n, dtype=np.float64) * tr
-    samples = _gamma_pdf(t, peak_delay / peak_disp, peak_disp) - undershoot_ratio * _gamma_pdf(
-        t, undershoot_delay / undershoot_disp, undershoot_disp
-    )
-    return HrfKernel(
-        samples=samples,
-        tr=tr,
-        peak_delay=peak_delay,
-        undershoot_delay=undershoot_delay,
-        peak_disp=peak_disp,
-        undershoot_disp=undershoot_disp,
-        undershoot_ratio=undershoot_ratio,
-        length_s=length_s,
-    )
+    if not tr > 0:
+        raise DrslError(f"tr must be > 0, got {tr}")
+    if not tr <= HRF_LENGTH_S:
+        raise DrslError(f"tr must be <= the {HRF_LENGTH_S} s HRF support, got {tr}")
+    t = np.arange(math.ceil(HRF_LENGTH_S / tr), dtype=np.float64) * tr
+    samples = _gamma_pdf(t, 6.0) - (1.0 / 6.0) * _gamma_pdf(t, 16.0)
+    samples.setflags(write=False)
+    return samples
 
 
 def boxcar_signal(events: EventTable, condition: str) -> np.ndarray:
@@ -142,7 +106,7 @@ def boxcar_signal(events: EventTable, condition: str) -> np.ndarray:
     events of the same condition add.
     """
     if condition not in events.conditions:
-        raise UnknownCondition(f"{condition!r} not in {events.conditions}")
+        raise DrslError(f"{condition!r} not in {events.conditions}")
     t = np.arange(events.n_scans, dtype=np.float64) * events.tr
     out = np.zeros(events.n_scans)
     eps = 1e-9
@@ -159,15 +123,15 @@ def boxcar_signal(events: EventTable, condition: str) -> np.ndarray:
     return out
 
 
-def build_design_column(events: EventTable, condition: str, hrf: HrfKernel) -> np.ndarray:
-    """Discrete convolution of the condition's boxcar with the HRF, length T."""
+def build_design_column(events: EventTable, condition: str, hrf: np.ndarray) -> np.ndarray:
+    """Discrete convolution of the condition's boxcar with the HRF samples, length T."""
     box = boxcar_signal(events, condition)
-    return np.convolve(box, hrf.samples)[: events.n_scans]
+    return np.convolve(box, hrf)[: events.n_scans]
 
 
-def build_design_matrix(events: EventTable, hrf: HrfKernel) -> DesignMatrix:
+def build_design_matrix(events: EventTable, hrf: np.ndarray) -> DesignMatrix:
     """Stack per-condition columns, ordered by sorted condition name."""
     if len(events.conditions) < 2:
-        raise EmptyDesign(f"need >= 2 conditions, got {events.conditions}")
+        raise ShapeMismatch(f"need >= 2 conditions, got {events.conditions}")
     cols = [build_design_column(events, c, hrf) for c in events.conditions]
     return DesignMatrix(conditions=events.conditions, values=np.column_stack(cols))

@@ -1,93 +1,25 @@
-"""Exception hierarchy shared across the package.
+"""The package's four error types.
 
 Every library failure derives from :class:`DrslError`, so callers (and the
-CLI) can distinguish validation/compute problems from genuine bugs.
+CLI, which maps any of them to exit code 1) can tell validation and compute
+problems from genuine bugs. The message names the offending value, shape,
+subject or file line.
 """
 
 
 class DrslError(Exception):
-    """Base class for all errors raised by this package."""
+    """An argument or data value out of range, or data on which a result is
+    undefined (a constant vector, two identical signatures)."""
 
 
 class ShapeMismatch(DrslError):
-    """Matrix dimensions are inconsistent with each other."""
+    """Sizes that disagree with each other, or fall below a minimum count."""
 
 
 class NonFinite(DrslError):
-    """A matrix contains NaN or infinite entries."""
-
-
-class EmptyDesign(DrslError):
-    """Design matrix has fewer than two conditions."""
-
-
-class TooFewRows(DrslError):
-    """Operation requires at least two time points."""
-
-
-class BadParams(DrslError):
-    """Invalid kernel parameters (non-positive TR or length)."""
-
-
-class UnknownCondition(DrslError):
-    """Condition name not present in the event table."""
-
-
-class BadArchitecture(DrslError):
-    """Invalid network layer specification."""
-
-
-class BadAlpha(DrslError):
-    """Regularizer scaling factor out of range."""
-
-
-class BadStep(DrslError):
-    """Non-positive learning rate or step size."""
-
-
-class BatchTooLarge(DrslError):
-    """Requested batch size exceeds the number of time points."""
-
-
-class ConditionMismatch(DrslError):
-    """Subjects disagree on the condition set."""
-
-
-class ConstantVector(DrslError):
-    """Correlation of a constant vector is undefined."""
-
-
-class LengthMismatch(DrslError):
-    """Vectors have different or insufficient lengths."""
-
-
-class ConstantRow(DrslError):
-    """Signature matrix has a constant row."""
-
-
-class DegeneratePair(DrslError):
-    """Two signatures are exactly equal; no separating hyperplane exists."""
-
-
-class TooFewSubjects(DrslError):
-    """Cross-validation needs at least two subjects."""
-
-
-class BadSpec(DrslError):
-    """Invalid synthetic dataset specification."""
-
-
-class InfeasibleSchedule(DrslError):
-    """Requested event schedule does not fit into the scan window."""
-
-
-class MissingFile(DrslError):
-    """A dataset file listed in the manifest does not exist."""
+    """NaN or infinite entries in the data, or a run that diverged."""
 
 
 class ParseError(DrslError):
-    """Malformed dataset file; message carries file and line context."""
-
-
-class ManifestMismatch(DrslError):
-    """File contents disagree with the dataset manifest."""
+    """A dataset or matrix file that is missing, malformed, or disagrees
+    with its manifest; the message names the file and, where known, the line."""

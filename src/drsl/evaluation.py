@@ -22,15 +22,7 @@ import numpy as np
 
 from .baselines import BaselineKind, fit_glm, fit_lasso, fit_lrsl
 from .data_model import DesignMatrix, FitConfig, SignatureMatrix, SubjectData
-from .errors import (
-    ConstantRow,
-    ConstantVector,
-    DegeneratePair,
-    DrslError,
-    LengthMismatch,
-    ShapeMismatch,
-    TooFewSubjects,
-)
+from .errors import DrslError, NonFinite, ShapeMismatch
 from .kernel_net import fold_output_standardization, forward, standardize_outputs
 from .optimizer import GroupFit, check_group, fit, fit_kernel_params, seed_stream
 
@@ -53,15 +45,15 @@ def pearson_corr(a, b) -> float:
     x = np.asarray(a, dtype=np.float64).ravel()
     y = np.asarray(b, dtype=np.float64).ravel()
     if x.shape != y.shape:
-        raise LengthMismatch(f"lengths differ: {x.shape[0]} vs {y.shape[0]}")
+        raise ShapeMismatch(f"lengths differ: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:
-        raise LengthMismatch(f"need >= 2 entries, got {x.shape[0]}")
+        raise ShapeMismatch(f"need >= 2 entries, got {x.shape[0]}")
     xc = x - x.mean()
     yc = y - y.mean()
     nx = float(np.sqrt(xc @ xc))
     ny = float(np.sqrt(yc @ yc))
     if nx == 0.0 or ny == 0.0:
-        raise ConstantVector("correlation of a constant vector is undefined")
+        raise DrslError("correlation of a constant vector is undefined")
     r = float((xc @ yc) / (nx * ny))
     return max(-1.0, min(1.0, r))
 
@@ -73,8 +65,10 @@ def between_class_correlation(signatures) -> float:
     )
     if b.ndim != 2 or b.shape[0] < 2:
         raise ShapeMismatch(f"need a matrix with >= 2 rows, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise NonFinite("signatures contain NaN/Inf; correlation undefined")
     if np.any(b.max(axis=1) == b.min(axis=1)):
-        raise ConstantRow("a signature row is constant; correlation undefined")
+        raise DrslError("a signature row is constant; correlation undefined")
     off_diagonal = ~np.eye(b.shape[0], dtype=bool)
     return float(min(1.0, np.max(np.abs(np.corrcoef(b)[off_diagonal]))))
 
@@ -112,6 +106,8 @@ def group_mse(responses, signatures, designs) -> float:
         resid = _residual(resp, design, sig)
         total += float(np.sum(resid * resid))
         count += resid.size
+    if not np.isfinite(total):
+        raise NonFinite("reconstruction error is not finite")
     return total / count
 
 
@@ -210,7 +206,7 @@ def build_hyperplanes(
     same = np.all(b[first] == b[second], axis=1)
     if same.any():
         k = int(np.argmax(same))
-        raise DegeneratePair(f"signatures {first[k]} and {second[k]} are identical")
+        raise DrslError(f"signatures {first[k]} and {second[k]} are identical")
     normals = (b[first] - b[second]) / scale
     midpoints = 0.5 * (
         np.einsum("kv,kv->k", normals, means[first])
@@ -395,7 +391,7 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
     """
     name = normalize_method(method)
     if len(datasets) < 2:
-        raise TooFewSubjects(f"cross-validation needs >= 2 subjects, got {len(datasets)}")
+        raise ShapeMismatch(f"cross-validation needs >= 2 subjects, got {len(datasets)}")
     p = datasets[0][1].n_conditions
     codebook = ecoc_codebook(p)
     accuracies, confusions, subject_ids, scored = [], [], [], []

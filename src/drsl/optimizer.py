@@ -38,13 +38,7 @@ from .data_model import (
     SubjectData,
     validate_pair,
 )
-from .errors import (
-    BadAlpha,
-    BatchTooLarge,
-    ConditionMismatch,
-    NonFinite,
-    ShapeMismatch,
-)
+from .errors import DrslError, NonFinite, ShapeMismatch
 from .kernel_net import (
     FlatParameters,
     backprop_output_grad,
@@ -76,16 +70,16 @@ def _signature_array(b) -> np.ndarray:
 
 def regularizer(b, alpha: float) -> float:
     """Elementwise penalty sum(alpha*|beta| + 10*alpha*beta^2)."""
-    if alpha < 1.0:
-        raise BadAlpha(f"alpha must be >= 1, got {alpha}")
+    if not alpha >= 1.0:
+        raise DrslError(f"alpha must be >= 1, got {alpha}")
     arr = _signature_array(b)
     return float(np.sum(alpha * np.abs(arr) + 10.0 * alpha * arr * arr))
 
 
 def regularizer_grad(b, alpha: float) -> np.ndarray:
     """alpha*sign(B) + 20*alpha*B, with sign(0) = 0 (minimal subgradient)."""
-    if alpha < 1.0:
-        raise BadAlpha(f"alpha must be >= 1, got {alpha}")
+    if not alpha >= 1.0:
+        raise DrslError(f"alpha must be >= 1, got {alpha}")
     arr = _signature_array(b)
     return alpha * np.sign(arr) + 20.0 * alpha * arr
 
@@ -192,9 +186,9 @@ def signature_step(
 def sample_batch(rng: np.random.Generator, t: int, n: int) -> np.ndarray:
     """N distinct time indices drawn uniformly without replacement."""
     if n > t:
-        raise BatchTooLarge(f"batch size {n} exceeds {t} time points")
+        raise ShapeMismatch(f"batch size {n} exceeds {t} time points")
     if n < 1:
-        raise BatchTooLarge(f"batch size must be >= 1, got {n}")
+        raise ShapeMismatch(f"batch size must be >= 1, got {n}")
     return rng.choice(t, size=n, replace=False)
 
 
@@ -338,7 +332,7 @@ def _train(
     d = design.values
     t = x.shape[0]
     if config.batch_size > t:
-        raise BatchTooLarge(f"batch size {config.batch_size} exceeds {t} time points")
+        raise ShapeMismatch(f"batch size {config.batch_size} exceeds {t} time points")
     b = _signature_array(b_init).copy()
     if b.shape[0] != d.shape[1]:
         raise ShapeMismatch(
@@ -415,13 +409,13 @@ def fit_subject(
 def check_group(datasets) -> tuple[tuple[str, ...], int, int]:
     """Validate a multi-subject dataset list; returns (conditions, V_org, P)."""
     if not datasets:
-        raise ConditionMismatch("no subjects to fit")
+        raise ShapeMismatch("no subjects to fit")
     conditions = datasets[0][1].conditions
     v_org = datasets[0][0].n_voxels
     for data, design in datasets:
         validate_pair(data, design)
         if design.conditions != conditions:
-            raise ConditionMismatch(
+            raise ShapeMismatch(
                 f"subject {data.subject_id!r} has conditions {design.conditions}, "
                 f"expected {conditions}"
             )

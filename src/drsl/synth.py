@@ -25,7 +25,7 @@ import numpy as np
 
 from .data_model import DesignMatrix, SignatureMatrix, SubjectData, standardize_columns
 from .design import Event, EventTable, build_design_matrix, canonical_hrf
-from .errors import BadSpec, InfeasibleSchedule, ShapeMismatch
+from .errors import DrslError, ShapeMismatch
 
 _STREAM_SIGNATURES = 10
 _STREAM_EVENTS = 11
@@ -70,52 +70,47 @@ class SynthSpec:
         object.__setattr__(self, "nonlinearity", Nonlinearity(self.nonlinearity))
         object.__setattr__(self, "signature_style", SignatureStyle(self.signature_style))
         if self.n_subjects < 2:
-            raise BadSpec(f"need >= 2 subjects, got {self.n_subjects}")
+            raise DrslError(f"need >= 2 subjects, got {self.n_subjects}")
         if self.n_conditions < 2:
-            raise BadSpec(f"need >= 2 conditions, got {self.n_conditions}")
+            raise DrslError(f"need >= 2 conditions, got {self.n_conditions}")
         if self.n_scans < 4 * self.n_conditions:
-            raise BadSpec(
+            raise DrslError(
                 f"need >= 4 scans per condition, got {self.n_scans} for "
                 f"{self.n_conditions} conditions"
             )
         if self.n_voxels < self.n_conditions + 2:
-            raise BadSpec(
+            raise DrslError(
                 f"need >= {self.n_conditions + 2} voxels for {self.n_conditions} "
                 f"conditions, got {self.n_voxels}"
             )
-        if self.snr <= 0:
-            raise BadSpec(f"snr must be > 0, got {self.snr}")
-        if self.tr <= 0:
-            raise BadSpec(f"tr must be > 0, got {self.tr}")
+        # each guard is written so that NaN fails it
+        if not self.snr > 0:
+            raise DrslError(f"snr must be > 0, got {self.snr}")
+        if not self.tr > 0:
+            raise DrslError(f"tr must be > 0, got {self.tr}")
         if not (0.0 <= self.quadratic_gain < math.inf):
-            raise BadSpec(
+            raise DrslError(
                 f"quadratic_gain must be finite and >= 0, got {self.quadratic_gain}"
             )
         if self.signature_style is SignatureStyle.CORRELATED and not (
             0.0 <= self.rho < 1.0
         ):
-            raise BadSpec(f"rho must lie in [0, 1), got {self.rho}")
+            raise DrslError(f"rho must lie in [0, 1), got {self.rho}")
 
 
 def condition_names(p: int) -> tuple[str, ...]:
     return tuple(f"cond{k:02d}" for k in range(p))
 
 
-def generate_events(
-    spec: SynthSpec,
-    block_scans: int | None = None,
-    rest_scans: int | None = None,
-) -> EventTable:
+def generate_events(spec: SynthSpec) -> EventTable:
     """Randomized block schedule: per cycle, every condition appears once.
 
-    Blocks have fixed duration with rest gaps between them; the schedule is
-    infeasible unless every condition fits at least twice.
+    Blocks of ``spec.block_scans`` scans have ``spec.rest_scans`` rest
+    scans after them; the schedule is infeasible unless every condition
+    fits at least twice.
     """
     p = spec.n_conditions
-    if block_scans is None:
-        block_scans = spec.block_scans
-    if rest_scans is None:
-        rest_scans = spec.rest_scans
+    block_scans, rest_scans = spec.block_scans, spec.rest_scans
     if block_scans is None or rest_scans is None:
         # shrink blocks for short runs so the minimum T >= 4P stays feasible
         if spec.n_scans >= 10 * p:
@@ -123,11 +118,11 @@ def generate_events(
         else:
             block_scans, rest_scans = 1, 1
     if block_scans < 1 or rest_scans < 0:
-        raise BadSpec(f"bad block/rest lengths: {block_scans}, {rest_scans}")
+        raise DrslError(f"bad block/rest lengths: {block_scans}, {rest_scans}")
     cycle = p * (block_scans + rest_scans)
     n_cycles = spec.n_scans // cycle
     if n_cycles < 2:
-        raise InfeasibleSchedule(
+        raise DrslError(
             f"{spec.n_scans} scans fit only {n_cycles} cycles of {cycle}; "
             "every condition must appear at least twice"
         )

@@ -8,7 +8,7 @@ from drsl.data_model import (
     RegularizerMode,
     SubjectData,
 )
-from drsl.errors import BadAlpha, BadStep
+from drsl.errors import DrslError
 from drsl.optimizer import regularizer
 
 
@@ -93,13 +93,13 @@ class TestFitLasso:
 
     def test_negative_penalty_rejected(self):
         data, design, _ = make_problem()
-        with pytest.raises(BadAlpha):
+        with pytest.raises(DrslError, match="alpha_lasso must be >= 0, got -1.0"):
             fit_lasso(data, design, alpha_lasso=-1.0)
 
-    def test_nonpositive_step_rejected(self):
+    def test_nan_penalty_rejected(self):
         data, design, _ = make_problem()
-        with pytest.raises(BadStep):
-            fit_lasso(data, design, alpha_lasso=0.5, eta=0.0)
+        with pytest.raises(DrslError, match="alpha_lasso must be >= 0, got nan"):
+            fit_lasso(data, design, alpha_lasso=float("nan"))
 
     def test_auto_step_below_stability_limit(self):
         _, design, _ = make_problem(seed=5)

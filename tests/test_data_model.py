@@ -11,15 +11,7 @@ from drsl.data_model import (
     standardize_columns,
     validate_pair,
 )
-from drsl.errors import (
-    BadAlpha,
-    BadStep,
-    DrslError,
-    EmptyDesign,
-    NonFinite,
-    ShapeMismatch,
-    TooFewRows,
-)
+from drsl.errors import DrslError, NonFinite, ShapeMismatch
 
 
 def make_pair(t=10, v=4, p=2, seed=0):
@@ -53,7 +45,7 @@ class TestValidatePair:
         rng = np.random.default_rng(0)
         data = SubjectData("s1", rng.standard_normal((10, 4)))
         design = DesignMatrix(conditions=("only",), values=rng.standard_normal((10, 1)))
-        with pytest.raises(EmptyDesign):
+        with pytest.raises(ShapeMismatch, match="design needs >= 2 conditions"):
             validate_pair(data, design)
 
 
@@ -79,7 +71,7 @@ class TestStandardize:
         np.testing.assert_allclose(out.responses[:, 0], expected, atol=1e-12)
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(ShapeMismatch, match="needs >= 2 rows"):
             standardize_columns(SubjectData("s", [[1.0, 2.0]]))
 
     def test_preserves_shape_and_column_order(self):
@@ -138,12 +130,21 @@ class TestFitConfig:
         assert (cfg.mu1, cfg.mu2, cfg.epsilon) == (0.9, 0.999, 1e-8)
 
     def test_alpha_below_one_rejected(self):
-        with pytest.raises(BadAlpha):
+        with pytest.raises(DrslError, match="alpha must be >= 1"):
             FitConfig(alpha=0.5)
 
     def test_nonpositive_eta_rejected(self):
-        with pytest.raises(BadStep):
+        with pytest.raises(DrslError, match="eta must be > 0"):
             FitConfig(eta=0.0)
+
+    @pytest.mark.parametrize(
+        "field,match",
+        [("alpha", "alpha must be >= 1"), ("eta", "eta must be > 0"),
+         ("epsilon", "epsilon must be > 0")],
+    )
+    def test_nan_setting_rejected(self, field, match):
+        with pytest.raises(DrslError, match=match):
+            FitConfig(**{field: float("nan")})
 
     @pytest.mark.parametrize("kw", [{"mu1": 1.0}, {"mu2": 0.0}, {"epsilon": 0.0}, {"batch_size": 0}])
     def test_bad_adam_settings_rejected(self, kw):

@@ -12,7 +12,7 @@ from drsl.design import (
     build_design_matrix,
     canonical_hrf,
 )
-from drsl.errors import BadParams, EmptyDesign, UnknownCondition
+from drsl.errors import DrslError, ShapeMismatch
 
 
 def gamma_pdf_scalar(t, shape):
@@ -28,11 +28,16 @@ def hrf_formula(t):
 class TestCanonicalHrf:
     def test_zero_at_origin(self):
         hrf = canonical_hrf(tr=2.0)
-        assert hrf.samples[0] == 0.0
+        assert hrf[0] == 0.0
 
     def test_sample_count(self):
-        assert canonical_hrf(tr=2.0, length_s=32.0).samples.shape == (16,)
-        assert canonical_hrf(tr=2.5, length_s=32.0).samples.shape == (13,)
+        assert canonical_hrf(tr=2.0).shape == (16,)
+        assert canonical_hrf(tr=2.5).shape == (13,)
+        assert canonical_hrf(tr=32.0).shape == (1,)
+
+    def test_samples_read_only(self):
+        with pytest.raises(ValueError):
+            canonical_hrf(2.0)[1] = 0.0
 
     def test_peak_near_five_seconds(self):
         # dense grid search on the continuous double-gamma form
@@ -41,14 +46,19 @@ class TestCanonicalHrf:
         assert abs(grid[dense.argmax()] - 5.0) < 0.05
 
     def test_matches_formula_at_samples(self):
-        hrf = canonical_hrf(tr=1.5, length_s=30.0)
-        for i, v in enumerate(hrf.samples):
+        hrf = canonical_hrf(tr=1.5)
+        for i, v in enumerate(hrf):
             assert v == pytest.approx(hrf_formula(i * 1.5), abs=1e-12)
 
-    @pytest.mark.parametrize("tr,length", [(0.0, 32.0), (-1.0, 32.0), (2.0, 1.0)])
-    def test_bad_params(self, tr, length):
-        with pytest.raises(BadParams):
-            canonical_hrf(tr=tr, length_s=length)
+    @pytest.mark.parametrize(
+        "tr,match",
+        [(0.0, "tr must be > 0"), (-1.0, "tr must be > 0"), (32.5, "32.0 s HRF support"),
+         (float("nan"), "tr must be > 0, got nan")],
+        ids=["zero", "negative", "past-support", "nan"],
+    )
+    def test_bad_tr(self, tr, match):
+        with pytest.raises(DrslError, match=match):
+            canonical_hrf(tr=tr)
 
 
 def impulse_table(onsets, t=40, tr=2.0, conditions=("a", "b")):
@@ -66,7 +76,7 @@ class TestDesignColumn:
         table = impulse_table([(0.0, "a")], t=10)
         hrf = canonical_hrf(2.0)
         col = build_design_column(table, "a", hrf)
-        np.testing.assert_allclose(col, hrf.samples[:10], atol=0)
+        np.testing.assert_allclose(col, hrf[:10], atol=0)
 
     def test_two_impulses_match_convolution_oracle(self):
         table = impulse_table([(4.0, "a"), (30.0, "a")], t=40)
@@ -78,14 +88,14 @@ class TestDesignColumn:
         box[15] = 1.0
         oracle = np.zeros(40)
         for i in range(40):
-            for k in range(len(hrf.samples)):
+            for k in range(len(hrf)):
                 if 0 <= i - k < 40:
-                    oracle[i] += box[i - k] * hrf.samples[k]
+                    oracle[i] += box[i - k] * hrf[k]
         np.testing.assert_allclose(col, oracle, atol=1e-12)
 
     def test_unknown_condition(self):
         table = impulse_table([(0.0, "a")], conditions=("a", "b"))
-        with pytest.raises(UnknownCondition):
+        with pytest.raises(DrslError, match="'nope' not in"):
             build_design_column(table, "nope", canonical_hrf(2.0))
 
     def test_boxcar_duration_spans_scans(self):
@@ -95,7 +105,7 @@ class TestDesignColumn:
         col = build_design_column(table, "a", hrf)
         box = np.zeros(20)
         box[2:5] = 1.0  # scans at 4s, 6s, 8s
-        np.testing.assert_allclose(col, np.convolve(box, hrf.samples)[:20], atol=1e-12)
+        np.testing.assert_allclose(col, np.convolve(box, hrf)[:20], atol=1e-12)
 
 
 class TestDesignMatrix:
@@ -131,7 +141,7 @@ class TestDesignMatrix:
 
     def test_single_condition_rejected(self):
         table = impulse_table([(0.0, "a")], conditions=("a",))
-        with pytest.raises(EmptyDesign):
+        with pytest.raises(ShapeMismatch, match="need >= 2 conditions"):
             build_design_matrix(table, canonical_hrf(2.0))
 
 
@@ -178,18 +188,30 @@ class TestDesignProperties:
         hrf = canonical_hrf(2.0)
         col = build_design_column(table, "a", hrf)
         assert np.all(np.isfinite(col))
-        bound = 10 * np.abs(hrf.samples).max() * (4.0 / 2.0)
+        bound = 10 * np.abs(hrf).max() * (4.0 / 2.0)
         assert np.abs(col).max() <= bound
 
 
 class TestEventTable:
     def test_event_past_scan_window_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DrslError, match="exceeds the 40.0s scan window"):
             EventTable(
                 events=(Event(onset=38.0, duration=6.0, condition="a"),),
                 tr=2.0,
                 n_scans=20,
             )
+
+    @pytest.mark.parametrize(
+        "onset,duration,match",
+        [(float("nan"), 2.0, "onset must be >= 0"), (0.0, float("nan"), "duration must be >= 0")],
+    )
+    def test_nan_event_rejected(self, onset, duration, match):
+        with pytest.raises(DrslError, match=match):
+            Event(onset=onset, duration=duration, condition="a")
+
+    def test_nan_tr_rejected(self):
+        with pytest.raises(DrslError, match="tr must be > 0"):
+            EventTable(events=(), tr=float("nan"), n_scans=20, conditions=("a",))
 
     def test_conditions_sorted_unique(self):
         events = (

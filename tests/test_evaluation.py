@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drsl.data_model import FitConfig, SignatureMatrix
-from drsl.errors import (
-    ConstantRow,
-    ConstantVector,
-    DegeneratePair,
-    LengthMismatch,
-    ShapeMismatch,
-    TooFewSubjects,
-)
+from drsl.errors import DrslError, NonFinite, ShapeMismatch
 from drsl.evaluation import (
     CvReport,
     between_class_correlation,
@@ -46,11 +39,11 @@ class TestPearsonCorr:
         )
 
     def test_constant_vector(self):
-        with pytest.raises(ConstantVector):
+        with pytest.raises(DrslError, match="correlation of a constant vector"):
             pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch, match="lengths differ: 2 vs 3"):
             pearson_corr([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_bounded(self):
@@ -75,8 +68,15 @@ class TestBetweenClassCorrelation:
         assert between_class_correlation(b) == pytest.approx(1.0)
 
     def test_constant_row_rejected(self):
-        with pytest.raises(ConstantRow):
+        with pytest.raises(DrslError, match="a signature row is constant"):
             between_class_correlation(np.array([[1.0, 1.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signatures_rejected(self, bad):
+        b = np.random.default_rng(3).standard_normal((3, 5))
+        b[1, 2] = bad
+        with pytest.raises(NonFinite, match="signatures contain NaN/Inf"):
+            between_class_correlation(b)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -142,6 +142,13 @@ class TestGroupMse:
         perturbed = ols + 0.1 * rng.standard_normal(ols.shape)
         assert group_mse([x], [ols], [d]) <= group_mse([x], [perturbed], [d])
 
+    def test_nan_signatures_rejected(self):
+        rng = np.random.default_rng(7)
+        d = rng.standard_normal((10, 3))
+        b = np.full((3, 5), np.nan)
+        with pytest.raises(NonFinite, match="reconstruction error is not finite"):
+            group_mse([rng.standard_normal((10, 5))], [b], [d])
+
 
 class TestResidualScale:
     def test_exact_fit_floors(self):
@@ -204,14 +211,14 @@ class TestHyperplanes:
     def test_degenerate_pair(self):
         row = np.ones(4)
         b = SignatureMatrix(np.vstack([row, row]))
-        with pytest.raises(DegeneratePair):
+        with pytest.raises(DrslError, match="signatures 0 and 1 are identical"):
             build_hyperplanes(b, np.ones(4))
 
     def test_degenerate_pair_names_the_first_identical_pair(self):
         b = np.arange(20.0).reshape(5, 4)
         b[4] = b[3]
         b[2] = b[1]
-        with pytest.raises(DegeneratePair, match="signatures 1 and 2 "):
+        with pytest.raises(DrslError, match="signatures 1 and 2 "):
             build_hyperplanes(SignatureMatrix(b), np.ones(4))
 
     def test_inverse_noise_weighting(self):
@@ -405,7 +412,7 @@ def _cv_dataset(nonlinearity="identity", snr=4.0, seed=0, s=3):
 class TestCrossValidate:
     def test_too_few_subjects(self):
         ds = _cv_dataset()
-        with pytest.raises(TooFewSubjects):
+        with pytest.raises(ShapeMismatch, match="cross-validation needs >= 2 subjects"):
             cross_validate(ds.pairs[:1], "glm", FitConfig())
 
     def test_report_has_one_fold_per_subject(self):
@@ -549,7 +556,7 @@ class TestAdaptTestSubject:
 
 class TestCvReport:
     def test_accuracy_bounds_enforced(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DrslError, match=r"accuracy 1.5 outside \[0, 1\]"):
             CvReport(
                 subject_ids=("a",), accuracies=(1.5,), confusions=(np.zeros((2, 2)),)
             )

@@ -11,9 +11,10 @@ from drsl.dataset_io import (
     RunResult,
     read_dataset,
     write_dataset,
+    write_matrix_tsv,
     write_results,
 )
-from drsl.errors import ManifestMismatch, MissingFile, ParseError
+from drsl.errors import DrslError, ParseError
 from drsl.synth import SynthSpec, generate_dataset
 
 
@@ -43,13 +44,13 @@ class TestDatasetRoundTrip:
             assert design.conditions == orig_design.conditions
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(ParseError, match="no manifest.txt in"):
             read_dataset(str(tmp_path))
 
     def test_missing_bold_file(self, small_dataset):
         path, _ = small_dataset
         os.remove(os.path.join(path, "sub-01_bold.tsv"))
-        with pytest.raises(MissingFile):
+        with pytest.raises(ParseError, match="missing sub-01_bold.tsv"):
             read_dataset(path)
 
     def test_wrong_column_count_names_line(self, small_dataset):
@@ -91,7 +92,28 @@ class TestDatasetRoundTrip:
         first[0] = "-4.0"
         lines[1] = "\t".join(first)
         open(events, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="negative onset"):
+        with pytest.raises(ParseError, match="line 2: onset must be >= 0, got -4.0"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("column,name", [(0, "onset"), (1, "duration")])
+    def test_nan_event_time_names_the_line(self, small_dataset, column, name):
+        path, _ = small_dataset
+        events = os.path.join(path, "sub-02_events.tsv")
+        lines = open(events).read().splitlines()
+        fields = lines[3].split("\t")
+        fields[column] = "nan"
+        lines[3] = "\t".join(fields)
+        open(events, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"sub-02_events.tsv line 4: {name} must be >= 0, got nan"):
+            read_dataset(path)
+
+    def test_nan_manifest_tr_rejected(self, small_dataset):
+        path, _ = small_dataset
+        manifest = os.path.join(path, "manifest.txt")
+        lines = ["tr\tnan" if line.startswith("tr\t") else line
+                 for line in open(manifest).read().splitlines()]
+        open(manifest, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(DrslError, match="tr must be > 0, got nan"):
             read_dataset(path)
 
     def test_row_count_mismatch(self, small_dataset):
@@ -99,7 +121,7 @@ class TestDatasetRoundTrip:
         bold = os.path.join(path, "sub-03_bold.tsv")
         lines = open(bold).read().splitlines()
         open(bold, "w").write("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ManifestMismatch):
+        with pytest.raises(ParseError, match="sub-03_bold.tsv has 119 rows, manifest says 120"):
             read_dataset(path)
 
     def test_unknown_event_condition(self, small_dataset):
@@ -110,8 +132,30 @@ class TestDatasetRoundTrip:
         first[2] = "mystery"
         lines[1] = "\t".join(first)
         open(events, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(ManifestMismatch):
+        with pytest.raises(ParseError, match="condition 'mystery' not in manifest"):
             read_dataset(path)
+
+
+def reference_matrix_tsv(values) -> bytes:
+    """The matrix format spelled out: 17 significant digits, tabs, one row a line."""
+    rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    return "".join("\t".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows).encode()
+
+
+class TestWriteMatrixTsv:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[0.0, -0.0, 5e-324, 1e300], [np.inf, -np.inf, np.nan, 0.1]]),
+            np.array([1.0 / 3.0, -2.5, 1e-17]),
+            np.random.default_rng(0).standard_normal((7, 5)) * 10.0 ** np.arange(-2, 3),
+        ],
+        ids=["specials", "1-d", "random"],
+    )
+    def test_bytes_match_reference_writer(self, tmp_path, values):
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(str(path), values)
+        assert path.read_bytes() == reference_matrix_tsv(values)
 
 
 class TestWriteResults:
@@ -147,7 +191,7 @@ class TestWriteResults:
         assert float(rows[0]["mse"]) == 0.25
 
     def test_non_finite_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DrslError, match="run result contains non-finite numbers"):
             RunResult(method="glm", config=FitConfig(), rho_max=float("nan"))
 
 
@@ -262,6 +306,41 @@ class TestCli:
         with open(os.path.join(out, "mse.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["iterations"]) for r in rows] == [40, 80]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["synth", "--tr", "nan"], "tr must be > 0, got nan"),
+            (["synth", "--snr", "nan"], "snr must be > 0, got nan"),
+            (["fit", "--method", "lasso", "--lasso-alpha", "nan"], "alpha_lasso must be >= 0"),
+            (["fit", "--method", "glm", "--layers", "8,x"], "--layers must be comma-separated"),
+            (["iters", "--schedule", "1,x"], "--schedule must be comma-separated"),
+        ],
+        ids=["synth-tr", "synth-snr", "lasso-alpha", "layers", "schedule"],
+    )
+    def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, argv, message):
+        data_dir = str(tmp_path / "d")
+        if argv[0] != "synth":
+            assert run(["synth", "--subjects", "2", "--scans", "80", "--voxels", "12",
+                        "--seed", "1", "--out", data_dir]) == 0
+            argv = [*argv, "--dataset", data_dir]
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [("{not json", "run.json is not JSON"), ('{"method": "glm"}', "run.json lacks dataset")],
+        ids=["not-json", "no-dataset"],
+    )
+    def test_eval_bad_run_json_exits_1(self, tmp_path, capsys, content, message):
+        fit_out = tmp_path / "fit"
+        fit_out.mkdir()
+        (fit_out / "run.json").write_text(content)
+        assert run(["eval", "--fit-output", str(fit_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
 
     def test_version_flag(self):
         assert run(["--version"]) == 0

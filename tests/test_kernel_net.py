@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drsl.data_model import NetworkParameters
-from drsl.errors import BadArchitecture, ShapeMismatch
+from drsl.errors import ShapeMismatch
 from drsl.kernel_net import (
     FlatParameters,
     backprop,
@@ -69,11 +69,11 @@ class TestInitParams:
         assert abs(params.layers[0][0].std() - 1.0) < 0.1
 
     def test_too_few_layers_rejected(self):
-        with pytest.raises(BadArchitecture):
+        with pytest.raises(ShapeMismatch, match="need at least 3 layers"):
             init_params((8, 3), "scaled_normal", seed=0)
 
     def test_output_wider_than_input_rejected(self):
-        with pytest.raises(BadArchitecture):
+        with pytest.raises(ShapeMismatch, match="output dim 6 exceeds input dim 4"):
             init_params((4, 8, 8, 6), "scaled_normal", seed=0)
 
 

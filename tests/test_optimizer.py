@@ -10,13 +10,7 @@ from drsl.data_model import (
     SignatureMatrix,
     SubjectData,
 )
-from drsl.errors import (
-    BadAlpha,
-    BatchTooLarge,
-    ConditionMismatch,
-    NonFinite,
-    ShapeMismatch,
-)
+from drsl.errors import DrslError, NonFinite, ShapeMismatch
 from drsl.kernel_net import FlatParameters, init_params
 from drsl.optimizer import (
     ADAM_BLOCK,
@@ -29,6 +23,7 @@ from drsl.optimizer import (
     gram_bound,
     objective,
     regularizer,
+    regularizer_grad,
     sample_batch,
     seed_stream,
     signature_step,
@@ -46,8 +41,13 @@ class TestRegularizer:
         assert regularizer(np.array([[0.5, -0.5]]), alpha=10.0) == pytest.approx(60.0)
 
     def test_alpha_below_one_rejected(self):
-        with pytest.raises(BadAlpha):
+        with pytest.raises(DrslError, match="alpha must be >= 1, got 0.9"):
             regularizer(np.ones((2, 2)), alpha=0.9)
+
+    @pytest.mark.parametrize("penalty", [regularizer, regularizer_grad])
+    def test_nan_alpha_rejected(self, penalty):
+        with pytest.raises(DrslError, match="alpha must be >= 1, got nan"):
+            penalty(np.ones((2, 2)), alpha=float("nan"))
 
     def test_even(self):
         rng = np.random.default_rng(0)
@@ -221,7 +221,7 @@ class TestSampleBatch:
         assert len(set(idx.tolist())) == 30
 
     def test_batch_too_large(self):
-        with pytest.raises(BatchTooLarge):
+        with pytest.raises(ShapeMismatch, match="batch size 6 exceeds 5 time points"):
             sample_batch(np.random.default_rng(0), 5, 6)
 
     def test_uniform_frequencies(self):
@@ -378,7 +378,7 @@ class TestFitSubject:
     def test_batch_too_large(self):
         data, design = make_subject(t=20)
         cfg = FitConfig(batch_size=50)
-        with pytest.raises(BatchTooLarge):
+        with pytest.raises(ShapeMismatch, match="batch size 50 exceeds 20 time points"):
             fit_subject(data, design, SignatureMatrix(np.zeros((3, 8))), cfg, identity_kernel=True)
 
     def test_runaway_eta_raises_at_the_step(self):
@@ -504,7 +504,7 @@ class TestGroupFit:
             conditions=("x0", "x1", "x2"), values=design.values
         )
         cfg = FitConfig(m1=1, m2=5, batch_size=10)
-        with pytest.raises(ConditionMismatch):
+        with pytest.raises(ShapeMismatch, match=r"has conditions \('x0', 'x1', 'x2'\)"):
             fit([a, (data, bad_design)], cfg, identity_kernel=True)
 
     def test_large_eta_deep_fit_converges_or_raises(self):

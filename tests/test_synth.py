@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from drsl.baselines import fit_glm
 from drsl.data_model import validate_pair
-from drsl.errors import BadSpec, InfeasibleSchedule
+from drsl.errors import DrslError
 from drsl.evaluation import between_class_correlation, pearson_corr
 from drsl.synth import (
     Nonlinearity,
@@ -16,26 +18,31 @@ from drsl.synth import (
 )
 
 
+# (bad fields, message); new cases go at the end so the kw<n> ids stay put
+BAD_SPECS = [
+    ({"n_subjects": 1}, "need >= 2 subjects"),
+    ({"n_conditions": 1}, "need >= 2 conditions"),
+    ({"n_scans": 7, "n_conditions": 2}, "need >= 4 scans per condition"),
+    ({"n_voxels": 4, "n_conditions": 4}, "need >= 6 voxels"),
+    ({"snr": 0.0}, "snr must be > 0"),
+    ({"tr": -1.0}, "tr must be > 0"),
+    ({"signature_style": "correlated", "rho": 1.0}, r"rho must lie in \[0, 1\)"),
+    ({"quadratic_gain": -0.1}, "quadratic_gain must be finite and >= 0"),
+    ({"quadratic_gain": float("nan")}, "quadratic_gain must be finite and >= 0"),
+    ({"quadratic_gain": float("inf")}, "quadratic_gain must be finite and >= 0"),
+    ({"snr": float("nan")}, "snr must be > 0, got nan"),
+    ({"tr": float("nan")}, "tr must be > 0, got nan"),
+]
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize(
-        "kw",
-        [
-            {"n_subjects": 1},
-            {"n_conditions": 1},
-            {"n_scans": 7, "n_conditions": 2},
-            {"n_voxels": 4, "n_conditions": 4},
-            {"snr": 0.0},
-            {"tr": -1.0},
-            {"signature_style": "correlated", "rho": 1.0},
-            {"quadratic_gain": -0.1},
-            {"quadratic_gain": float("nan")},
-            {"quadratic_gain": float("inf")},
-        ],
+        "kw,match", BAD_SPECS, ids=[f"kw{i}" for i in range(len(BAD_SPECS))]
     )
-    def test_bad_specs_rejected(self, kw):
+    def test_bad_specs_rejected(self, kw, match):
         base = dict(n_subjects=3, n_scans=120, n_voxels=20, n_conditions=3)
         base.update(kw)
-        with pytest.raises(BadSpec):
+        with pytest.raises(DrslError, match=match):
             SynthSpec(**base)
 
 
@@ -101,8 +108,8 @@ class TestEvents:
 
     def test_infeasible_schedule(self):
         spec = SynthSpec(n_subjects=2, n_scans=40, n_voxels=10, n_conditions=4, seed=2)
-        with pytest.raises(InfeasibleSchedule):
-            generate_events(spec, block_scans=4, rest_scans=4)
+        with pytest.raises(DrslError, match="every condition must appear at least twice"):
+            generate_events(dataclasses.replace(spec, block_scans=4, rest_scans=4))
 
 
 class TestNonlinearity:
