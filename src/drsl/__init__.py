@@ -1,9 +1,10 @@
 """Deep representational similarity learning.
 
 Regularized multi-set regression with a multilayer nonlinear kernel,
-trained by block-coordinate SGD/Adam, plus linear baselines (OLS, LASSO,
-and the identity-kernel ablation), synthetic data with known ground truth,
-and the correlation/MSE/ECOC evaluation protocols.
+fitted block by block (mini-batch Adam on the kernel, an exact elastic-net
+solve for the signatures), plus linear baselines (OLS, LASSO, and the
+identity-kernel ablation), synthetic data with known ground truth, and the
+correlation/MSE/ECOC evaluation protocols.
 """
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Linear comparison methods: classical RSA via OLS, LASSO, and the linear
 ablation of the deep model (identity transformation).
 
-The LASSO is solved by proximal gradient with soft thresholding; it shares
-the batch/gradient machinery style of the main optimizer and is accurate
-enough at desk scale. The OLS route goes through a rank-revealing least
+The LASSO and the linear ablation are both elastic nets in B, solved by the
+optimizer's one proximal-gradient routine, which also gives the deep
+model's B half-step. The OLS route goes through a rank-revealing least
 squares solve, so rank-deficient designs get the minimum-norm solution.
 """
 
@@ -21,7 +21,7 @@ from .data_model import (
     validate_pair,
 )
 from .errors import DrslError
-from .optimizer import GroupFit, fit, gram_bound, soft_threshold
+from .optimizer import GroupFit, SubjectFit, _elastic_net, check_group, signature_step
 
 
 class BaselineKind(str, enum.Enum):
@@ -43,11 +43,6 @@ def fit_glm(data: SubjectData, design: DesignMatrix) -> SignatureMatrix:
     return SignatureMatrix(values=b, conditions=design.conditions)
 
 
-def lasso_step_size(design: DesignMatrix) -> float:
-    """Safe proximal-gradient step, just under 1 / (2 lambda_max(D^T D))."""
-    return 0.45 / max(gram_bound(design.values), 1e-12)
-
-
 def fit_lasso(
     data: SubjectData,
     design: DesignMatrix,
@@ -56,29 +51,34 @@ def fit_lasso(
 ) -> SignatureMatrix:
     """Minimize ||X - D B||_F^2 + alpha_lasso * sum|beta| by proximal gradient.
 
-    The step is :func:`lasso_step_size`, below the stability limit. The
-    gradient -2 (D^T X - D^T D B) comes from D^T D and D^T X, formed once,
-    so an iteration costs O(P^2 V) instead of O(T P V).
+    Starts from B = 0 and runs at most ``iterations`` iterations of the
+    optimizer's elastic-net routine with no ridge term.
     """
     validate_pair(data, design)
     if not alpha_lasso >= 0:
         raise DrslError(f"alpha_lasso must be >= 0, got {alpha_lasso}")
-    eta = lasso_step_size(design)
+    if not iterations >= 1:
+        raise DrslError(f"lasso iterations must be >= 1, got {iterations}")
     d = design.values
-    gram = d.T @ d
     dtx = d.T @ data.responses
-    b = np.zeros(dtx.shape)
-    threshold = eta * alpha_lasso
-    for _ in range(iterations):
-        grad = -2.0 * (dtx - gram @ b)
-        b = soft_threshold(b - eta * grad, threshold)
+    b = _elastic_net(d.T @ d, dtx, np.zeros(dtx.shape), alpha_lasso, 0.0, iterations)
     return SignatureMatrix(values=b, conditions=design.conditions)
 
 
 def fit_lrsl(datasets, config: FitConfig) -> GroupFit:
     """Group fit with the transformation fixed to the identity, f(x) = x.
 
-    Runs the same two-level loop as the deep model but skips the kernel
-    half-step entirely; the mapped space is the voxel space (V = V_org).
+    Each subject's B is the deep model's exact B half-step
+    (:func:`drsl.optimizer.signature_step`) on its voxel data from B = 0,
+    and the group signatures are their mean. Of the config only ``alpha``
+    and ``regularizer`` apply.
     """
-    return fit(datasets, config, identity_kernel=True)
+    conditions, v_org, p = check_group(datasets)
+    fits = []
+    for data, design in datasets:
+        b = signature_step(
+            np.zeros((p, v_org)), design.values, data.responses, config.alpha, config.regularizer
+        )
+        fits.append(SubjectFit(SignatureMatrix(b, conditions), None, np.empty(0), data.responses))
+    mean = np.mean([f.signatures.values for f in fits], axis=0)
+    return GroupFit(SignatureMatrix(mean, conditions), tuple(fits))

@@ -205,7 +205,7 @@ def _cmd_fit(args) -> int:
 
 
 def _total_iterations(args) -> int:
-    if args.method in (METHOD_DRSL, "lrsl"):
+    if args.method == METHOD_DRSL:
         return args.m1 * args.m2
     if args.method == "lasso":
         return args.lasso_iters
@@ -351,15 +351,19 @@ def _cmd_iters(args) -> int:
     schedule = _int_list("--schedule", args.schedule)
     if not schedule:
         raise DrslError("empty --schedule")
+    if min(schedule) < 1:
+        raise DrslError(f"--schedule entries must be >= 1, got {min(schedule)}")
+    if args.m2 < 1:
+        raise DrslError(f"--m2 must be >= 1 for iters, got {args.m2}")
     datasets = _load_standardized(args.dataset)
     designs = [design for _, design in datasets]
     rows = []
     for total in schedule:
-        m2 = min(args.m2, total) if total > 0 else args.m2
-        m1 = max(1, -(-total // m2))  # ceil division
+        m2 = min(args.m2, total)
+        m1 = -(-total // m2)  # ceil division
         override = argparse.Namespace(**{**vars(args), "m1": m1, "m2": m2})
         config = _config_from_args(override, datasets[0][0].n_voxels)
-        method_fit = fit_method(datasets, args.method, config)
+        method_fit = fit_method(datasets, METHOD_DRSL, config)
         mse = group_mse(
             method_fit.mapped_responses, method_fit.subject_signatures, designs
         )
@@ -421,9 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("iters", help="MSE against total iteration count")
+    p = sub.add_parser("iters", help="drsl MSE against total iteration count")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--method", choices=[METHOD_DRSL, "lrsl"], default=METHOD_DRSL)
     p.add_argument("--schedule", default="100,500,1000")
     p.add_argument("--out", required=True)
     _add_config_flags(p)

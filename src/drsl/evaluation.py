@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import BaselineKind, fit_glm, fit_lasso, fit_lrsl
 from .data_model import DesignMatrix, FitConfig, SignatureMatrix, SubjectData
 from .errors import DrslError, NonFinite, ShapeMismatch
-from .kernel_net import fold_output_standardization, forward, standardize_outputs
+from .kernel_net import fold_output_standardization, forward
 from .optimizer import GroupFit, check_group, fit, fit_kernel_params, seed_stream
 
 METHOD_DRSL = "drsl"
@@ -316,31 +316,20 @@ def fit_method(datasets, method, config: FitConfig, lasso_alpha: float = 0.9,
     """Fit any method on a dataset list.
 
     Closed-form baselines average the per-subject solutions into the group
-    signatures, mirroring the aggregation of the iterative fits.
+    signatures, mirroring the aggregation of the iterative fits. drsl needs
+    ``config.m1 >= 1``: with no outer iteration there is no fit to report.
     """
     name = normalize_method(method)
     check_group(datasets)
-    raw = tuple(data.responses for data, _ in datasets)
-    if name == METHOD_DRSL:
-        group = fit(datasets, config)
-        mapped = tuple(
-            standardize_outputs(forward(sub.params, data.responses, config.activation)[0])[0]
-            for (data, _), sub in zip(datasets, group.subject_fits)
-        )
+    if name in (METHOD_DRSL, BaselineKind.LRSL.value):
+        if name == METHOD_DRSL and not config.m1 >= 1:
+            raise DrslError(f"drsl needs m1 >= 1 outer iterations, got m1={config.m1}")
+        group = fit(datasets, config) if name == METHOD_DRSL else fit_lrsl(datasets, config)
         return MethodFit(
             method=name,
             signatures=group.signatures,
             subject_signatures=tuple(s.signatures for s in group.subject_fits),
-            mapped_responses=mapped,
-            group=group,
-        )
-    if name == BaselineKind.LRSL.value:
-        group = fit_lrsl(datasets, config)
-        return MethodFit(
-            method=name,
-            signatures=group.signatures,
-            subject_signatures=tuple(s.signatures for s in group.subject_fits),
-            mapped_responses=raw,
+            mapped_responses=tuple(s.mapped_responses for s in group.subject_fits),
             group=group,
         )
     if name == BaselineKind.GLM_RSA.value:
@@ -356,7 +345,7 @@ def fit_method(datasets, method, config: FitConfig, lasso_alpha: float = 0.9,
         method=name,
         signatures=signatures,
         subject_signatures=fits,
-        mapped_responses=raw,
+        mapped_responses=tuple(data.responses for data, _ in datasets),
     )
 
 

@@ -133,12 +133,12 @@ def init_params(
 
 def _apply_activation(z: np.ndarray, activation: Activation) -> np.ndarray:
     if activation is Activation.SIGMOID:
-        # split by sign for overflow-free evaluation
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        # the logistic as 0.5 * (1 + tanh(z / 2)): no exp to overflow, and
+        # no boolean masks to gather and scatter
+        out = np.multiply(z, 0.5)
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
         return out
     if activation is Activation.TANH:
         return np.tanh(z)

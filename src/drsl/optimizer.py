@@ -1,22 +1,19 @@
-"""Regularized multi-set regression trained by block-coordinate SGD/Adam.
+"""Regularized multi-set regression, fitted block by block.
 
-Each inner iteration alternates two half-steps on one mini-batch: a
-proximal-gradient step on the signature matrix B, then an Adam step on the
-kernel parameters theta with d_i B as the regression target. The batch
-objective weights its data term by T / n, so it is an unbiased estimate of
-the per-run objective sum_t ||f(x_t) - d_t B||^2 + R(B) and the regularizer
-counts once per run, whatever the batch size. The B step size is
-min(eta, 1 / L) with L the batch Lipschitz bound of the smooth part, so the
-B half-step cannot diverge at any eta. Kernel outputs are standardized per
-batch (see :mod:`drsl.kernel_net`), which anchors the scale of f.
+A subject fit alternates two blocks. First the kernel parameters theta take
+M2 mini-batch Adam steps against the targets d_i B, with B frozen; each
+step logs the batch objective with its data term weighted by T / n, an
+unbiased estimate of the per-run objective sum_t ||f(x_t) - d_t B||^2 +
+R(B). Kernel outputs are standardized per batch (see
+:mod:`drsl.kernel_net`), which anchors the scale of f. Then the whole run
+is mapped once and B is solved exactly (:func:`signature_step`): the
+objective is a convex elastic net in B once theta is fixed.
 
-One inner loop serves subject fits and held-out adaptation:
-:func:`fit_subject` takes both half-steps, :func:`fit_kernel_params` keeps
-B frozen and takes only the Adam step, and both log the same weighted batch
-objective. The outer loop re-fits every subject from the current group mean
-and re-aggregates; each subject's theta carries over from one outer
-iteration to the next. A batch loss or B that stops being finite raises
-:class:`NonFinite` at the step where it happens.
+Held-out adaptation (:func:`fit_kernel_params`) is the same kernel loop
+without the B solve. The outer loop re-fits every subject from the current
+group mean and re-aggregates; each subject's theta carries over from one
+outer iteration to the next. A batch loss or B that stops being finite
+raises :class:`NonFinite` at the step where it happens.
 
 Group fits are deterministic for a fixed config: every subject fit draws
 from its own seed stream derived from (master seed, outer iteration,
@@ -53,6 +50,11 @@ from .kernel_net import (
 _STREAM_GROUP_INIT = 0
 _STREAM_SUBJECT = 1
 _STREAM_ADAPT = 2
+
+# the elastic-net solver stops once an iteration moves B by at most this
+# share of max|B|, or after B_SOLVE_ITERATIONS iterations in the B solve
+B_SOLVE_TOLERANCE = 1e-12
+B_SOLVE_ITERATIONS = 500
 
 
 def seed_stream(seed: int, *key: int) -> np.random.Generator:
@@ -107,19 +109,17 @@ def grad_b(
     f_outputs: np.ndarray,
     alpha: float,
     regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
-    data_weight: float = 1.0,
 ) -> np.ndarray:
-    """Batch gradient of :func:`objective` with respect to B.
+    """Gradient of :func:`objective` with respect to B.
 
-    alpha*sign(B) + 20*alpha*B - 2 w sum_i d_i^T (f(x_i) - d_i B) with
-    w = ``data_weight``; the regularizer term appears once per batch, not
-    once per sample.
+    alpha*sign(B) + 20*alpha*B - 2 sum_i d_i^T (f(x_i) - d_i B); the
+    regularizer term appears once, not once per sample.
     """
     arr = _signature_array(b)
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
-    data_term = -2.0 * data_weight * d.T @ (f - d @ arr)
+    data_term = -2.0 * d.T @ (f - d @ arr)
     if RegularizerMode(regularizer_mode) is RegularizerMode.DISABLED:
         return data_term
     return regularizer_grad(arr, alpha) + data_term
@@ -149,10 +149,25 @@ def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
-def gram_bound(design_rows: np.ndarray) -> float:
-    """lambda_max(D^T D): half the Lipschitz constant of ||F - D B||^2 in B."""
-    d = np.asarray(design_rows, dtype=np.float64)
-    return float(np.linalg.eigvalsh(d.T @ d)[-1])
+def _elastic_net(gram, cross, b, l1: float, l2: float, iterations: int) -> np.ndarray:
+    """Minimize ||F - D B||^2 + l1*|B| + l2*||B||^2 by proximal gradient from ``b``.
+
+    Takes D^T D and D^T F, so an iteration costs O(P^2 V), not O(T P V).
+    The step 1 / (2 lambda_max(D^T D) + 2 l2) is the inverse Lipschitz
+    constant of the smooth part, so no iteration raises the objective.
+    Stops once an iteration moves B by at most :data:`B_SOLVE_TOLERANCE`
+    of max|B|, or after ``iterations`` iterations.
+    """
+    lipschitz = 2.0 * float(np.linalg.eigvalsh(gram)[-1]) + 2.0 * l2
+    step = 1.0 / max(lipschitz, 1e-12)
+    for _ in range(iterations):
+        moved = b - step * (2.0 * (gram @ b - cross) + 2.0 * l2 * b)
+        nxt = soft_threshold(moved, step * l1)
+        done = np.max(np.abs(nxt - b)) <= B_SOLVE_TOLERANCE * np.max(np.abs(nxt))
+        b = nxt
+        if done:
+            break
+    return b
 
 
 def signature_step(
@@ -160,27 +175,22 @@ def signature_step(
     design_rows: np.ndarray,
     f_outputs: np.ndarray,
     alpha: float,
-    eta: float,
     regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
-    data_weight: float = 1.0,
 ) -> np.ndarray:
-    """One proximal-gradient step on B for the weighted batch objective.
+    """The exact B half-step: the B that minimizes :func:`objective` on these rows.
 
-    The smooth part w * ||F - D B||^2 + 10*alpha*||B||^2 takes a gradient
-    step of size s = min(eta, 1 / L), L = 2 w lambda_max(D^T D) + 20 alpha,
-    and the alpha*|B| part its exact proximal map (soft thresholding at
-    s * alpha). With s <= 1 / L the step never increases the batch
-    objective, so B cannot diverge whatever eta is.
+    With theta fixed the objective ||F - D B||^2 + alpha*|B| +
+    10*alpha*||B||^2 (the data term alone under
+    ``RegularizerMode.DISABLED``) is a convex elastic net in B; it is
+    solved by proximal gradient warm-started at ``b``, for at most
+    :data:`B_SOLVE_ITERATIONS` iterations.
     """
     arr = _signature_array(b)
-    smooth = grad_b(arr, design_rows, f_outputs, alpha, RegularizerMode.DISABLED, data_weight)
-    enabled = RegularizerMode(regularizer_mode) is RegularizerMode.ENABLED
-    lipschitz = 2.0 * data_weight * gram_bound(design_rows) + (20.0 * alpha if enabled else 0.0)
-    step = eta if lipschitz <= 0.0 else min(eta, 1.0 / lipschitz)
-    if not enabled:
-        return arr - step * smooth
-    moved = arr - step * (smooth + 20.0 * alpha * arr)
-    return soft_threshold(moved, step * alpha)
+    d = np.asarray(design_rows, dtype=np.float64)
+    f = np.asarray(f_outputs, dtype=np.float64)
+    _check_batch_shapes(arr, d, f)
+    l1 = alpha if RegularizerMode(regularizer_mode) is RegularizerMode.ENABLED else 0.0
+    return _elastic_net(d.T @ d, d.T @ f, arr, l1, 10.0 * l1, B_SOLVE_ITERATIONS)
 
 
 def sample_batch(rng: np.random.Generator, t: int, n: int) -> np.ndarray:
@@ -261,11 +271,16 @@ def adam_step(
 
 @dataclass(frozen=True)
 class SubjectFit:
-    """Result of one subject-level fit."""
+    """Result of one subject-level fit.
+
+    ``mapped_responses`` is the f that B was solved against over the whole
+    run; kernel adaptation solves no B and leaves it None.
+    """
 
     signatures: SignatureMatrix
     params: NetworkParameters | None
     loss_history: np.ndarray
+    mapped_responses: np.ndarray | None = None
 
     def __post_init__(self):
         hist = np.asarray(self.loss_history, dtype=np.float64)
@@ -296,36 +311,23 @@ def _resolve_sizes(config: FitConfig, v_org: int) -> tuple[int, ...]:
     return sizes
 
 
-def _check_finite(subject_id: str, where: str, step: int, loss: float, b) -> None:
-    if np.isfinite(loss) and np.all(np.isfinite(b)):
-        return
-    raise NonFinite(
-        f"subject {subject_id!r} diverged at {where}, step {step}: batch loss "
-        f"{loss!r}, ||B|| = {float(np.linalg.norm(b))!r} (try a smaller eta)"
-    )
-
-
 def _train(
     data: SubjectData,
     design: DesignMatrix,
-    b_init: SignatureMatrix,
+    signatures: SignatureMatrix,
     config: FitConfig,
     rng: np.random.Generator,
     where: str,
-    update_b: bool,
-    identity_kernel: bool = False,
     initial_params: NetworkParameters | None = None,
-) -> SubjectFit:
-    """The inner training loop of one subject, with B updated or frozen.
+) -> tuple[NetworkParameters, np.ndarray]:
+    """The kernel loop of one subject: M2 Adam steps on theta, B frozen.
 
-    Per iteration: draw a batch; unless ``update_b`` is False, take a
-    proximal step on B (:func:`signature_step`, data term weighted by
-    T / n); log the weighted batch objective; then (unless the kernel is the
-    identity) take an Adam step on theta against the targets d_i B. Theta
-    starts from a copy of ``initial_params`` when given, otherwise from a
-    fresh draw, and trains in flat buffers that no caller sees. A non-finite
-    loss or B raises :class:`NonFinite` naming the subject, ``where`` and
-    the step.
+    Per iteration: draw a batch, log the batch objective with its data term
+    weighted by T / n, then take an Adam step on theta against the targets
+    d_i B. Theta starts from a copy of ``initial_params`` when given,
+    otherwise from a fresh draw, and trains in flat buffers that no caller
+    sees. Returns theta, read-only, and the loss history. A non-finite loss
+    raises :class:`NonFinite` naming the subject, ``where`` and the step.
     """
     validate_pair(data, design)
     x = data.responses
@@ -333,52 +335,40 @@ def _train(
     t = x.shape[0]
     if config.batch_size > t:
         raise ShapeMismatch(f"batch size {config.batch_size} exceeds {t} time points")
-    b = _signature_array(b_init).copy()
+    b = _signature_array(signatures)
     if b.shape[0] != d.shape[1]:
         raise ShapeMismatch(
             f"B has {b.shape[0]} rows but design has {d.shape[1]} conditions"
         )
-    if identity_kernel:
-        theta = None
-        width = x.shape[1]
-    else:
-        sizes = _resolve_sizes(config, x.shape[1])
-        theta = FlatParameters.from_params(
-            initial_params if initial_params is not None
-            else init_params(sizes, config.init, rng=rng)
+    sizes = _resolve_sizes(config, x.shape[1])
+    theta = FlatParameters.from_params(
+        initial_params if initial_params is not None
+        else init_params(sizes, config.init, rng=rng)
+    )
+    if b.shape[1] != theta.output_dim:
+        raise ShapeMismatch(
+            f"B has {b.shape[1]} columns but the kernel outputs {theta.output_dim}"
         )
-        grads = FlatParameters(theta.layer_sizes)
-        state = AdamState(theta.layer_sizes)
-        width = theta.output_dim
-    if b.shape[1] != width:
-        raise ShapeMismatch(f"B has {b.shape[1]} columns but the kernel outputs {width}")
+    grads = FlatParameters(theta.layer_sizes)
+    state = AdamState(theta.layer_sizes)
 
     weight = t / config.batch_size
     losses = np.empty(config.m2)
     for k in range(config.m2):
         idx = sample_batch(rng, t, config.batch_size)
         xb, db = x[idx], d[idx]
-        if theta is None:
-            fb = xb
-        else:
-            z, trace = forward(theta, xb, config.activation)
-            fb, scale = standardize_outputs(z)
-        if update_b:
-            b = signature_step(
-                b, db, fb, config.alpha, config.eta, config.regularizer, data_weight=weight
-            )
+        z, trace = forward(theta, xb, config.activation)
+        fb, scale = standardize_outputs(z)
         losses[k] = objective(b, db, fb, config.alpha, config.regularizer, data_weight=weight)
-        _check_finite(data.subject_id, where, k, losses[k], b)
-        if theta is not None:
-            grad_out = standardize_backward(2.0 * (fb - db @ b), fb, scale)
-            backprop_output_grad(theta, trace, grad_out, config.activation, out=grads)
-            adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
-
-    return SubjectFit(
-        signatures=SignatureMatrix(values=b, conditions=design.conditions),
-        params=None if theta is None else theta.freeze(),
-        loss_history=losses,
-    )
+        if not np.isfinite(losses[k]):
+            raise NonFinite(
+                f"subject {data.subject_id!r} diverged at {where}, step {k}: batch "
+                f"loss {losses[k]!r} (try a smaller eta)"
+            )
+        grad_out = standardize_backward(2.0 * (fb - db @ b), fb, scale)
+        backprop_output_grad(theta, trace, grad_out, config.activation, out=grads)
+        adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
+    return theta.freeze(), losses
 
 
 def fit_subject(
@@ -387,22 +377,33 @@ def fit_subject(
     b_init: SignatureMatrix,
     config: FitConfig,
     rng: np.random.Generator | None = None,
-    identity_kernel: bool = False,
     initial_params: NetworkParameters | None = None,
     outer: int = 0,
 ) -> SubjectFit:
-    """Fit B and theta of one subject, starting from ``b_init``.
+    """Fit theta against B frozen at ``b_init``, then B exactly from ``b_init``.
 
-    The returned ``params`` are a read-only copy of the raw network: the
-    fitted kernel is ``standardize_outputs`` of its outputs over the run,
-    which :func:`drsl.kernel_net.fold_output_standardization` folds into it.
-    A divergence names ``outer`` as its outer iteration.
+    The B solve (:func:`signature_step`) maps the whole run once, to
+    ``mapped_responses`` f = standardize_outputs(forward(params, X)).
+    ``params`` is a read-only copy of the raw network, which
+    :func:`drsl.kernel_net.fold_output_standardization` turns into the
+    fitted kernel. A divergence names ``outer`` as its outer iteration.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return _train(
-        data, design, b_init, config, rng, f"outer iteration {outer}",
-        update_b=True, identity_kernel=identity_kernel, initial_params=initial_params,
+    where = f"outer iteration {outer}"
+    params, losses = _train(data, design, b_init, config, rng, where, initial_params)
+    mapped, _ = standardize_outputs(forward(params, data.responses, config.activation)[0])
+    b = signature_step(b_init, design.values, mapped, config.alpha, config.regularizer)
+    if not np.all(np.isfinite(b)):
+        raise NonFinite(
+            f"subject {data.subject_id!r} diverged at {where}, B solve: "
+            f"||B|| = {float(np.linalg.norm(b))!r} (try a smaller eta)"
+        )
+    return SubjectFit(
+        signatures=SignatureMatrix(values=b, conditions=design.conditions),
+        params=params,
+        loss_history=losses,
+        mapped_responses=mapped,
     )
 
 
@@ -427,25 +428,21 @@ def check_group(datasets) -> tuple[tuple[str, ...], int, int]:
     return conditions, v_org, len(conditions)
 
 
-def fit(
-    datasets,
-    config: FitConfig,
-    identity_kernel: bool = False,
-    subject_stream=None,
-) -> GroupFit:
+def fit(datasets, config: FitConfig, subject_stream=None) -> GroupFit:
     """Group training loop: M1 outer iterations over all subjects.
 
     The group signatures start standard-normal from the config seed; each
-    outer iteration fits every subject with B warm-started from the current
-    group mean and theta carried over from the subject's previous outer
-    iteration (drawn fresh in the first), then replaces the group
-    signatures with the subject mean.
+    outer iteration fits every subject from the current group mean (the
+    frozen B of its kernel loop and the warm start of its B solve) with
+    theta carried over from the subject's previous outer iteration (drawn
+    fresh in the first), then replaces the group signatures with the
+    subject mean.
 
     ``subject_stream(seed, outer, subject_index)`` may override the default
     per-subject rng derivation (used by tests).
     """
     conditions, v_org, p = check_group(datasets)
-    v = v_org if identity_kernel else _resolve_sizes(config, v_org)[-1]
+    v = _resolve_sizes(config, v_org)[-1]
     if subject_stream is None:
         subject_stream = lambda seed, outer, idx: seed_stream(
             seed, _STREAM_SUBJECT, outer, idx
@@ -465,7 +462,6 @@ def fit(
                 b_start,
                 config,
                 rng=subject_stream(config.seed, outer, idx),
-                identity_kernel=identity_kernel,
                 initial_params=thetas[idx],
                 outer=outer,
             )
@@ -494,4 +490,5 @@ def fit_kernel_params(
     """
     if rng is None:
         rng = seed_stream(config.seed, _STREAM_ADAPT)
-    return _train(data, design, signatures, config, rng, "kernel adaptation", update_b=False)
+    params, losses = _train(data, design, signatures, config, rng, "kernel adaptation")
+    return SubjectFit(signatures=signatures, params=params, loss_history=losses)

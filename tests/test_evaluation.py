@@ -526,6 +526,20 @@ class TestDeepFit:
             np.testing.assert_allclose(mapped.mean(axis=0), 0.0, atol=1e-9)
             np.testing.assert_allclose(mapped.var(axis=0), 1.0, atol=1e-6)
 
+    def test_mapped_responses_are_the_returned_kernel_over_the_run(self):
+        from drsl.kernel_net import forward, standardize_outputs
+
+        ds = generate_dataset(
+            SynthSpec(n_subjects=2, n_scans=160, n_voxels=16, n_conditions=3, snr=4.0, seed=0)
+        )
+        cfg = FitConfig(m1=2, m2=20, batch_size=80, layer_sizes=(16, 12, 10, 8), seed=0)
+        deep = fit_method(ds.pairs, "drsl", cfg)
+        for (data, _), sub, mapped in zip(
+            ds.pairs, deep.group.subject_fits, deep.mapped_responses
+        ):
+            z, _ = forward(sub.params, data.responses, cfg.activation)
+            np.testing.assert_array_equal(mapped, standardize_outputs(z)[0])
+
 
 class TestAdaptTestSubject:
     def test_m2_zero_returns_initial_params(self):

@@ -300,7 +300,7 @@ class TestCli:
              "--conditions", "2", "--seed", "2", "--out", data_dir])
         out = str(tmp_path / "iters")
         assert run([
-            "iters", "--dataset", data_dir, "--method", "lrsl",
+            "iters", "--dataset", data_dir, "--layers", "6,5,4",
             "--schedule", "40,80", "--m2", "20", "--batch", "30", "--out", out,
         ]) == 0
         with open(os.path.join(out, "mse.csv")) as fh:
@@ -315,8 +315,14 @@ class TestCli:
             (["fit", "--method", "lasso", "--lasso-alpha", "nan"], "alpha_lasso must be >= 0"),
             (["fit", "--method", "glm", "--layers", "8,x"], "--layers must be comma-separated"),
             (["iters", "--schedule", "1,x"], "--schedule must be comma-separated"),
+            (["iters", "--schedule", "0,-5"], "--schedule entries must be >= 1, got -5"),
+            (["iters", "--schedule", "40", "--m2", "0"], "--m2 must be >= 1 for iters, got 0"),
+            (["fit", "--method", "lasso", "--lasso-iters", "-5"],
+             "lasso iterations must be >= 1, got -5"),
+            (["fit", "--method", "drsl", "--m1", "0"], "drsl needs m1 >= 1 outer iterations"),
         ],
-        ids=["synth-tr", "synth-snr", "lasso-alpha", "layers", "schedule"],
+        ids=["synth-tr", "synth-snr", "lasso-alpha", "layers", "schedule",
+             "schedule-nonpositive", "iters-m2-zero", "lasso-iters", "drsl-m1-zero"],
     )
     def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, argv, message):
         data_dir = str(tmp_path / "d")

@@ -317,6 +317,24 @@ class TestActivationContract:
 
         assert _apply_activation(np.array([0.0]), Activation.SIGMOID)[0] == 0.5
 
+    def test_sigmoid_matches_the_logistic_without_overflow(self):
+        import warnings
+
+        from drsl.kernel_net import _apply_activation
+        from drsl.data_model import Activation
+
+        z = np.random.default_rng(0).standard_normal((50, 200)) * 10.0
+        # the logistic split by sign, so that no exp overflows either
+        ez = np.exp(-np.abs(z))
+        logistic = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _apply_activation(z, Activation.SIGMOID)
+            ends = _apply_activation(np.array([-1000.0, 1000.0]), Activation.SIGMOID)
+        np.testing.assert_allclose(got, logistic, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(ends, [0.0, 1.0])
+        assert z.min() < -20 and z.max() > 20
+
     def test_tanh_at_zero(self):
         from drsl.kernel_net import _apply_activation
         from drsl.data_model import Activation
