@@ -1,9 +1,10 @@
 """Core typed containers, shape validation, and column standardization.
 
-All numerics are 64-bit floats: the finite-difference gradient checks used
-throughout the test suite need ~1e-6 relative precision, which float32
-cannot deliver. Containers are frozen dataclasses holding read-only arrays,
-so instances are safe to share across threads.
+Every container holds 64-bit floats: the finite-difference gradient checks
+used throughout the test suite need ~1e-6 relative precision, which float32
+cannot deliver. Only the kernel's training buffers inside
+:mod:`drsl.optimizer` are float32. Containers are frozen dataclasses
+holding read-only arrays, so instances are safe to share across threads.
 """
 
 from __future__ import annotations

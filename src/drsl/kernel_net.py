@@ -11,6 +11,11 @@ the joint objective is minimized by the trivial f = 0, B = 0. Because the
 standardization is affine per output feature, it folds exactly into the
 output layer once a run's statistics are known
 (:func:`fold_output_standardization`).
+
+:func:`forward`, the standardization and :func:`backprop_output_grad`
+compute in the dtype of the buffers they are given, float32 or float64.
+Training passes float32 flat buffers and batches; a
+:class:`NetworkParameters` is float64 and maps in float64.
 """
 
 from __future__ import annotations
@@ -42,21 +47,25 @@ class ForwardTrace:
 
 
 class FlatParameters:
-    """One network's weights and biases in one contiguous float64 vector.
+    """One network's weights and biases in one contiguous vector.
 
     ``layers`` holds a writable (w, b) view per layer into ``flat``, shaped
     as in :class:`NetworkParameters`, so :func:`forward` and
     :func:`backprop_output_grad` take it in place of one, and an optimizer
     can update every parameter of the network with whole-vector operations.
-    Training keeps theta, its gradient and the Adam moments in these;
-    :meth:`freeze` copies theta out as read-only ``NetworkParameters``.
+    The vector is float64 unless ``dtype`` says otherwise; training keeps
+    theta, its gradient and the Adam moments in float32 ones.
+    :meth:`freeze` copies theta out as read-only float64
+    ``NetworkParameters``.
     """
 
-    def __init__(self, layer_sizes):
+    def __init__(self, layer_sizes, dtype=np.float64):
         sizes = tuple(int(s) for s in layer_sizes)
         validate_layer_sizes(sizes)
         self.layer_sizes = sizes
-        self.flat = np.zeros(sum(u * (v + 1) for v, u in zip(sizes[:-1], sizes[1:])))
+        self.flat = np.zeros(
+            sum(u * (v + 1) for v, u in zip(sizes[:-1], sizes[1:])), dtype=dtype
+        )
         layers, start = [], 0
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             w = self.flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in)
@@ -66,9 +75,9 @@ class FlatParameters:
         self.layers = tuple(layers)
 
     @classmethod
-    def from_params(cls, params: NetworkParameters) -> FlatParameters:
+    def from_params(cls, params: NetworkParameters, dtype=np.float64) -> FlatParameters:
         """A flat copy of ``params``; writing to it leaves ``params`` as it was."""
-        flat = cls(params.layer_sizes)
+        flat = cls(params.layer_sizes, dtype)
         for (w, b), (fw, fb) in zip(params.layers, flat.layers):
             fw[...] = w
             fb[...] = b
@@ -114,7 +123,8 @@ def init_params(
 
     ``paper_normal`` uses i.i.d. standard normals; ``scaled_normal`` scales
     the standard deviation by 1/sqrt(fan_in), which keeps wide sigmoid
-    layers out of saturation.
+    layers out of saturation. Each value is rounded to float32, so a network
+    that trains in float32 starts from exactly these parameters.
     """
     sizes = tuple(int(s) for s in layer_sizes)
     validate_layer_sizes(sizes)
@@ -125,8 +135,8 @@ def init_params(
     for m in range(len(sizes) - 1):
         fan_in, fan_out = sizes[m], sizes[m + 1]
         std = 1.0 if scheme is InitScheme.PAPER_NORMAL else 1.0 / np.sqrt(fan_in)
-        w = rng.standard_normal((fan_out, fan_in)) * std
-        b = rng.standard_normal(fan_out) * std
+        w = (rng.standard_normal((fan_out, fan_in)) * std).astype(np.float32)
+        b = (rng.standard_normal(fan_out) * std).astype(np.float32)
         layers.append((w, b))
     return NetworkParameters(layers=tuple(layers), layer_sizes=sizes)
 
@@ -150,7 +160,7 @@ def _activation_derivative(z: np.ndarray, h: np.ndarray, activation: Activation)
         return h * (1.0 - h)
     if activation is Activation.TANH:
         return 1.0 - h * h
-    return np.where(z > 0, 1.0, 0.0)
+    return (z > 0).astype(h.dtype)
 
 
 def forward(
@@ -161,10 +171,11 @@ def forward(
     """Map a batch (n x V_org) through the network to (n x V).
 
     Hidden layers apply the activation componentwise; the output layer is
-    affine.
+    affine. The batch is cast to the dtype of ``params``, which every
+    intermediate value keeps.
     """
     activation = Activation(activation)
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=params.layers[0][0].dtype)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeMismatch(
             f"batch has shape {x.shape}, expected (n, {params.input_dim})"
@@ -185,9 +196,9 @@ def standardize_outputs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     y = (z - mean) / scale with scale = sqrt(var + eps), both over the batch
     rows (population variance). A feature that is constant over the batch
-    maps to zeros.
+    maps to zeros. float32 input is standardized in float32.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     centered = z - z.mean(axis=0)
     scale = np.sqrt(np.mean(centered * centered, axis=0) + _STANDARDIZE_EPS)
     return centered / scale, scale
@@ -195,7 +206,7 @@ def standardize_outputs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize_backward(grad_y: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Exact gradient through :func:`standardize_outputs`, given dL/dy."""
-    g = np.asarray(grad_y, dtype=np.float64)
+    g = np.asarray(grad_y)
     return (g - g.mean(axis=0) - y * np.mean(g * y, axis=0)) / scale
 
 
@@ -264,18 +275,19 @@ def backprop_output_grad(
 ) -> FlatParameters:
     """Chain a given dL/d(output) back through the network of ``trace``.
 
-    The gradients are written into ``out`` (a fresh buffer when None),
-    which is returned; ``out`` must not be ``params`` itself.
+    The gradients are written into ``out`` (a fresh buffer of the trace's
+    dtype when None), which is returned and sets the dtype of the chain;
+    ``out`` must not be ``params`` itself.
     """
     activation = Activation(activation)
     if out is None:
-        out = FlatParameters(params.layer_sizes)
+        out = FlatParameters(params.layer_sizes, trace.output.dtype)
     elif out.layer_sizes != params.layer_sizes:
         raise ShapeMismatch(
             f"gradient buffer has layer sizes {out.layer_sizes}, "
             f"expected {params.layer_sizes}"
         )
-    delta = np.asarray(grad_output, dtype=np.float64)
+    delta = np.asarray(grad_output, dtype=out.flat.dtype)
     for m in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[m]
         gw, gb = out.layers[m]

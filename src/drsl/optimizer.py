@@ -9,6 +9,12 @@ R(B). Kernel outputs are standardized per batch (see
 is mapped once and B is solved exactly (:func:`signature_step`): the
 objective is a convex elastic net in B once theta is fixed.
 
+The kernel trains in :data:`TRAIN_DTYPE` (float32): theta, its gradient,
+the Adam moments and the gathered batches. B, the design, the objective,
+the B solve, the returned read-only ``NetworkParameters`` and the mapped
+run stay float64; float32 theta widens to float64 exactly, so carrying it
+across outer iterations loses nothing.
+
 Held-out adaptation (:func:`fit_kernel_params`) is the same kernel loop
 without the B solve. The outer loop re-fits every subject from the current
 group mean and re-aggregates; each subject's theta carries over from one
@@ -55,6 +61,9 @@ _STREAM_ADAPT = 2
 # share of max|B|, or after B_SOLVE_ITERATIONS iterations in the B solve
 B_SOLVE_TOLERANCE = 1e-12
 B_SOLVE_ITERATIONS = 500
+
+# the dtype the kernel trains in; see the module docstring for what stays float64
+TRAIN_DTYPE = np.float32
 
 
 def seed_stream(seed: int, *key: int) -> np.random.Generator:
@@ -213,14 +222,15 @@ class AdamState:
 
     ``delta`` (first moment) and ``gamma`` (second moment) start at zero
     and :func:`adam_step` updates them in place; ``step_count`` counts the
-    steps taken.
+    steps taken. They are float64 unless ``dtype`` says otherwise, and must
+    match the dtype of the theta they update.
     """
 
-    def __init__(self, layer_sizes):
-        self.delta = FlatParameters(layer_sizes)
-        self.gamma = FlatParameters(layer_sizes)
+    def __init__(self, layer_sizes, dtype=np.float64):
+        self.delta = FlatParameters(layer_sizes, dtype)
+        self.gamma = FlatParameters(layer_sizes, dtype)
         self.step_count = 0
-        self._scratch = np.empty((2, min(ADAM_BLOCK, self.delta.flat.size)))
+        self._scratch = np.empty((2, min(ADAM_BLOCK, self.delta.flat.size)), dtype=dtype)
 
 
 def adam_step(
@@ -238,11 +248,14 @@ def adam_step(
     delta = mu1*delta + (1-mu1)*g; gamma = mu2*gamma + ((1-mu2)*g)*g;
     theta -= (eta*(delta/c1)) / (sqrt(gamma/c2) + epsilon). The flat
     vectors are swept in blocks of :data:`ADAM_BLOCK` elements through two
-    reused scratch arrays, so a step allocates nothing.
+    reused scratch arrays, so a step allocates nothing, and computed in
+    their dtype.
     """
     sizes = params.layer_sizes
     if grads.layer_sizes != sizes or state.delta.layer_sizes != sizes:
         raise ShapeMismatch("Adam state, gradients, and parameters disagree in shape")
+    if not params.flat.dtype == grads.flat.dtype == state.delta.flat.dtype:
+        raise ShapeMismatch("Adam state, gradients, and parameters disagree in dtype")
     k = state.step_count + 1
     c1 = 1.0 - mu1**k
     c2 = 1.0 - mu2**k
@@ -325,12 +338,14 @@ def _train(
     Per iteration: draw a batch, log the batch objective with its data term
     weighted by T / n, then take an Adam step on theta against the targets
     d_i B. Theta starts from a copy of ``initial_params`` when given,
-    otherwise from a fresh draw, and trains in flat buffers that no caller
-    sees. Returns theta, read-only, and the loss history. A non-finite loss
-    raises :class:`NonFinite` naming the subject, ``where`` and the step.
+    otherwise from a fresh draw, and trains in :data:`TRAIN_DTYPE` flat
+    buffers that no caller sees, on batches gathered from X cast once.
+    Returns theta, read-only float64, and the loss history. A non-finite
+    loss raises :class:`NonFinite` naming the subject, ``where`` and the
+    step.
     """
     validate_pair(data, design)
-    x = data.responses
+    x = data.responses.astype(TRAIN_DTYPE)
     d = design.values
     t = x.shape[0]
     if config.batch_size > t:
@@ -343,14 +358,15 @@ def _train(
     sizes = _resolve_sizes(config, x.shape[1])
     theta = FlatParameters.from_params(
         initial_params if initial_params is not None
-        else init_params(sizes, config.init, rng=rng)
+        else init_params(sizes, config.init, rng=rng),
+        TRAIN_DTYPE,
     )
     if b.shape[1] != theta.output_dim:
         raise ShapeMismatch(
             f"B has {b.shape[1]} columns but the kernel outputs {theta.output_dim}"
         )
-    grads = FlatParameters(theta.layer_sizes)
-    state = AdamState(theta.layer_sizes)
+    grads = FlatParameters(theta.layer_sizes, TRAIN_DTYPE)
+    state = AdamState(theta.layer_sizes, TRAIN_DTYPE)
 
     weight = t / config.batch_size
     losses = np.empty(config.m2)
@@ -365,7 +381,8 @@ def _train(
                 f"subject {data.subject_id!r} diverged at {where}, step {k}: batch "
                 f"loss {losses[k]!r} (try a smaller eta)"
             )
-        grad_out = standardize_backward(2.0 * (fb - db @ b), fb, scale)
+        targets = (db @ b).astype(TRAIN_DTYPE)
+        grad_out = standardize_backward(2.0 * (fb - targets), fb, scale)
         backprop_output_grad(theta, trace, grad_out, config.activation, out=grads)
         adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
     return theta.freeze(), losses

@@ -310,6 +310,75 @@ class TestGradientBuffer:
             assert np.any(w != 0.0)
 
 
+class TestFloat32:
+    """Training runs in float32 buffers; every function follows their dtype."""
+
+    sizes = (30, 25, 18, 7)
+
+    def nets(self, seed=6):
+        params = init_params(self.sizes, "scaled_normal", seed=seed)
+        return params, FlatParameters.from_params(params, np.float32)
+
+    def test_init_params_are_float32_values_held_in_float64(self):
+        params = init_params(self.sizes, "paper_normal", seed=3)
+        for a in (a for layer in params.layers for a in layer):
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a.astype(np.float32), a)
+
+    def test_float32_copy_freezes_back_to_the_float64_values(self):
+        params, flat = self.nets()
+        assert flat.flat.dtype == np.float32
+        for (w, b), (zw, zb) in zip(params.layers, flat.freeze().layers):
+            assert zw.dtype == zb.dtype == np.float64
+            np.testing.assert_array_equal(zw, w)
+            np.testing.assert_array_equal(zb, b)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_forward_stays_float32_and_matches_float64(self, activation):
+        params, flat = self.nets()
+        x = np.random.default_rng(2).standard_normal((13, 30))
+        expected, _ = forward(params, x, activation)
+        got, trace = forward(flat, x.astype(np.float32), activation)
+        assert got.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in (*trace.activations, *trace.pre_activations))
+        np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-5)
+
+    def test_standardization_stays_float32_and_matches_float64(self):
+        z = np.random.default_rng(4).standard_normal((40, 7)) * 3.0 + 1.0
+        g = np.random.default_rng(5).standard_normal((40, 7))
+        y, scale = standardize_outputs(z)
+        y32, scale32 = standardize_outputs(z.astype(np.float32))
+        back32 = standardize_backward(g.astype(np.float32), y32, scale32)
+        assert y32.dtype == scale32.dtype == back32.dtype == np.float32
+        np.testing.assert_allclose(y32, y, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(back32, standardize_backward(g, y, scale), rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_gradient_into_a_float32_buffer_matches_allocating_backprop(self, activation):
+        params, flat = self.nets()
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((13, 30))
+        grad_output = rng.standard_normal((13, 7))
+        _, trace = forward(params, x, activation)
+        expected = _allocating_backprop(params, trace, grad_output, activation)
+        _, trace32 = forward(flat, x.astype(np.float32), activation)
+        buffer = FlatParameters(self.sizes, np.float32)
+        got = backprop_output_grad(
+            flat, trace32, grad_output.astype(np.float32), activation, out=buffer
+        )
+        assert got is buffer and buffer.flat.dtype == np.float32
+        for (gw, gb), (ew, eb) in zip(buffer.layers, expected):
+            scale = max(np.max(np.abs(ew)), np.max(np.abs(eb)))
+            np.testing.assert_allclose(gw, ew, rtol=0, atol=1e-5 * scale)
+            np.testing.assert_allclose(gb, eb, rtol=0, atol=1e-5 * scale)
+
+    def test_public_backprop_keeps_float64(self):
+        params, _ = self.nets()
+        rng = np.random.default_rng(1)
+        grads = backprop(params, rng.standard_normal((5, 30)), rng.standard_normal((5, 7)))
+        assert grads.flat.dtype == np.float64
+
+
 class TestActivationContract:
     def test_sigmoid_at_zero(self):
         from drsl.kernel_net import _apply_activation

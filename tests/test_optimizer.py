@@ -332,6 +332,43 @@ class TestAdamStep:
         with pytest.raises(ShapeMismatch):
             adam_step(state, FlatParameters((3, 4, 2)), params, 1e-3, 0.9, 0.999, 1e-8)
 
+    def test_float32_buffers_match_functional_reference_across_blocks(self):
+        # as the bit-identical test above, with float32 theta, gradient and
+        # moments against the float64 reference
+        sizes = (200, 120, 90, 10)
+        params64 = init_params(sizes, "scaled_normal", seed=3)
+        params = FlatParameters.from_params(params64, np.float32)
+        state = AdamState(sizes, np.float32)
+        ref = [[a.copy(), np.zeros_like(a), np.zeros_like(a)]
+               for layer in params64.layers for a in layer]
+        grads = FlatParameters(sizes, np.float32)
+        rng = np.random.default_rng(8)
+        eta, mu1, mu2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for k in range(1, 6):
+            grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.uniform(-4, 2)
+            adam_step(state, grads, params, eta, mu1, mu2, eps)
+            for buffer in (params, grads, state.delta, state.gamma):
+                assert buffer.flat.dtype == np.float32
+            g_arrays = [a.astype(np.float64) for layer in grads.layers for a in layer]
+            for entry, g in zip(ref, g_arrays):
+                entry[:] = _reference_adam(*entry, g, k, eta, mu1, mu2, eps)
+        got = zip(
+            (a for layer in params.layers for a in layer),
+            (a for layer in state.delta.layers for a in layer),
+            (a for layer in state.gamma.layers for a in layer),
+        )
+        for arrays, expected in zip(got, ref):
+            for a, e in zip(arrays, expected):
+                np.testing.assert_allclose(a, e, rtol=1e-5, atol=1e-6 * np.max(np.abs(e)))
+
+    def test_mismatched_dtypes_raise(self):
+        params, state = self.make()
+        with pytest.raises(ShapeMismatch):
+            adam_step(
+                state, FlatParameters(params.layer_sizes, np.float32), params,
+                1e-3, 0.9, 0.999, 1e-8,
+            )
+
 
 def make_subject(t=60, v=8, p=3, seed=0, noise=0.1):
     rng = np.random.default_rng(seed)
@@ -490,6 +527,26 @@ class TestFitSubject:
                 assert not any(np.shares_memory(a, s) for layer in start.layers for s in layer)
                 with pytest.raises(ValueError):
                     a[...] = 0.0
+
+    def test_kernel_trains_in_float32_and_returns_float64(self, monkeypatch):
+        import drsl.optimizer as opt
+
+        seen = []
+        step = opt.adam_step
+
+        def spy_adam(state, grads, params, *args):
+            seen.append((params.flat.dtype, grads.flat.dtype,
+                         state.delta.flat.dtype, state.gamma.flat.dtype))
+            return step(state, grads, params, *args)
+
+        monkeypatch.setattr(opt, "adam_step", spy_adam)
+        data, design = make_subject()
+        cfg = FitConfig(m2=4, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=1)
+        out = fit_subject(data, design, SignatureMatrix(np.ones((3, 4))), cfg)
+        assert seen == [(np.float32,) * 4] * cfg.m2
+        for a in (a for layer in out.params.layers for a in layer):
+            assert a.dtype == np.float64 and not a.flags.writeable
+        assert out.mapped_responses.dtype == out.signatures.values.dtype == np.float64
 
     def test_loss_history_length(self):
         data, design = make_subject()
