@@ -12,6 +12,15 @@ subjects only. The held-out run is split in two contiguous parts: for the
 deep model the subject's kernel is adapted on the first part against the
 frozen group signatures, and every method is scored on the dominant time
 points of the second part only.
+
+The deep model's folds share their first outer iteration's subject fits.
+Such a fit sees only its own subject's data and design, its position in
+the fold's training list (its seed stream), the config and the start B
+drawn from the config seed, so subject s fits identically in every fold
+where it sits at the same position: s-1 in folds before s, s in folds
+after. A call therefore fits 2(S-1) distinct first-iteration subjects
+instead of S(S-1), keeps at most those 2(S-1) fits until it returns, and
+reports bit for bit what refitting every fold would.
 """
 
 from __future__ import annotations
@@ -312,19 +321,25 @@ class MethodFit:
 
 
 def fit_method(datasets, method, config: FitConfig, lasso_alpha: float = 0.9,
-               lasso_iterations: int = 500) -> MethodFit:
+               lasso_iterations: int = 500, *, first_fits: dict | None = None) -> MethodFit:
     """Fit any method on a dataset list.
 
     Closed-form baselines average the per-subject solutions into the group
     signatures, mirroring the aggregation of the iterative fits. drsl needs
     ``config.m1 >= 1``: with no outer iteration there is no fit to report.
+    ``first_fits`` is passed to drsl's :func:`drsl.optimizer.fit`; the
+    other methods cost milliseconds and take no part in it.
     """
     name = normalize_method(method)
     check_group(datasets)
     if name in (METHOD_DRSL, BaselineKind.LRSL.value):
         if name == METHOD_DRSL and not config.m1 >= 1:
             raise DrslError(f"drsl needs m1 >= 1 outer iterations, got m1={config.m1}")
-        group = fit(datasets, config) if name == METHOD_DRSL else fit_lrsl(datasets, config)
+        group = (
+            fit(datasets, config, first_fits=first_fits)
+            if name == METHOD_DRSL
+            else fit_lrsl(datasets, config)
+        )
         return MethodFit(
             method=name,
             signatures=group.signatures,
@@ -377,16 +392,35 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
     For the deep model the subject's kernel is first adapted on the first
     half (its outputs standardized over those scans) and then maps the
     scored scans; no scored scan or its label reaches the adaptation.
+    A batch larger than any subject's first half is rejected before any
+    fold is fitted.
+
+    The deep model's folds share one ``first_fits`` dict
+    (:func:`drsl.optimizer.fit`), keyed by the identity of each subject's
+    data and design and its index in the fold's training list. It holds
+    at most 2(S-1) first-outer-iteration fits for the length of the call,
+    each with its theta and mapped run; later outer iterations start from
+    the fold's own group mean and are refitted per fold.
     """
     name = normalize_method(method)
     if len(datasets) < 2:
         raise ShapeMismatch(f"cross-validation needs >= 2 subjects, got {len(datasets)}")
+    first_fits = None
+    if name == METHOD_DRSL:
+        for data, _ in datasets:
+            if config.batch_size > data.n_scans // 2:
+                raise ShapeMismatch(
+                    f"batch size {config.batch_size} exceeds the {data.n_scans // 2} "
+                    f"scans of subject {data.subject_id!r} kept for kernel adaptation "
+                    f"(the first half of its {data.n_scans}-scan run)"
+                )
+        first_fits = {}
     p = datasets[0][1].n_conditions
     codebook = ecoc_codebook(p)
     accuracies, confusions, subject_ids, scored = [], [], [], []
     for fold, (test_data, test_design) in enumerate(datasets):
         train = [pair for k, pair in enumerate(datasets) if k != fold]
-        method_fit = fit_method(train, name, config)
+        method_fit = fit_method(train, name, config, first_fits=first_fits)
         signatures = method_fit.signatures
         train_designs = [design for _, design in train]
         mapped_train = method_fit.mapped_responses

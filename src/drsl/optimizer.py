@@ -287,7 +287,9 @@ class SubjectFit:
     """Result of one subject-level fit.
 
     ``mapped_responses`` is the f that B was solved against over the whole
-    run; kernel adaptation solves no B and leaves it None.
+    run; kernel adaptation solves no B and leaves it None. It is held as a
+    read-only view, like every array of the fit, because one fit may back
+    several results (see :func:`fit`'s ``first_fits``).
     """
 
     signatures: SignatureMatrix
@@ -305,6 +307,10 @@ class SubjectFit:
         hist = hist.copy()
         hist.setflags(write=False)
         object.__setattr__(self, "loss_history", hist)
+        if self.mapped_responses is not None:
+            mapped = np.asarray(self.mapped_responses).view()
+            mapped.setflags(write=False)
+            object.__setattr__(self, "mapped_responses", mapped)
 
 
 @dataclass(frozen=True)
@@ -445,7 +451,9 @@ def check_group(datasets) -> tuple[tuple[str, ...], int, int]:
     return conditions, v_org, len(conditions)
 
 
-def fit(datasets, config: FitConfig, subject_stream=None) -> GroupFit:
+def fit(
+    datasets, config: FitConfig, subject_stream=None, *, first_fits: dict | None = None
+) -> GroupFit:
     """Group training loop: M1 outer iterations over all subjects.
 
     The group signatures start standard-normal from the config seed; each
@@ -457,6 +465,18 @@ def fit(datasets, config: FitConfig, subject_stream=None) -> GroupFit:
 
     ``subject_stream(seed, outer, subject_index)`` may override the default
     per-subject rng derivation (used by tests).
+
+    ``first_fits`` shares outer-iteration-0 subject fits between calls on
+    overlapping dataset lists. Such a fit depends only on the subject's
+    data and design, its index in ``datasets`` (its seed stream), the
+    config and the start B, which the config seed alone draws; so the fit
+    found under the key ``(id(data), id(design), index)`` is the one this
+    call would compute, bit for bit. Misses are computed and stored; later
+    outer iterations start from this call's own group mean and are never
+    shared. One dict serves one config and ``subject_stream``, and must not
+    outlive the data and design objects whose ids it holds.
+    :func:`drsl.evaluation.cross_validate` keeps one per call, where it
+    holds at most 2(S-1) fits: subject s sits at index s-1 or s.
     """
     conditions, v_org, p = check_group(datasets)
     v = _resolve_sizes(config, v_org)[-1]
@@ -472,18 +492,23 @@ def fit(datasets, config: FitConfig, subject_stream=None) -> GroupFit:
 
     for outer in range(config.m1):
         b_start = SignatureMatrix(values=b_tilde, conditions=conditions)
-        fits = tuple(
-            fit_subject(
-                data,
-                design,
-                b_start,
-                config,
-                rng=subject_stream(config.seed, outer, idx),
-                initial_params=thetas[idx],
-                outer=outer,
-            )
-            for idx, (data, design) in enumerate(datasets)
-        )
+        # outside a shared first iteration a fresh dict, where each key occurs once
+        fitted = first_fits if outer == 0 and first_fits is not None else {}
+        subject_fits = []
+        for idx, (data, design) in enumerate(datasets):
+            key = (id(data), id(design), idx)
+            if key not in fitted:
+                fitted[key] = fit_subject(
+                    data,
+                    design,
+                    b_start,
+                    config,
+                    rng=subject_stream(config.seed, outer, idx),
+                    initial_params=thetas[idx],
+                    outer=outer,
+                )
+            subject_fits.append(fitted[key])
+        fits = tuple(subject_fits)
         thetas = [f.params for f in fits]
         b_tilde = np.mean([f.signatures.values for f in fits], axis=0)
 

@@ -488,6 +488,67 @@ class TestCrossValidate:
             for a, b in zip(report.scored_scans, other.scored_scans):
                 np.testing.assert_array_equal(a, b)
 
+    def test_drsl_batch_above_the_adaptation_half_fails_before_any_fit(self, monkeypatch):
+        import drsl.optimizer as opt
+
+        ds = _cv_dataset(s=3)
+        calls = []
+        original = opt.fit_subject
+
+        def spy(*args, **kw):
+            calls.append(kw.get("outer"))
+            return original(*args, **kw)
+
+        monkeypatch.setattr(opt, "fit_subject", spy)
+        cfg = FitConfig(m1=1, m2=5, batch_size=100, layer_sizes=(16, 12, 10, 8))
+        with pytest.raises(
+            ShapeMismatch,
+            match=r"batch size 100 exceeds the 80 scans of subject '01' kept for "
+            r"kernel adaptation \(the first half of its 160-scan run\)",
+        ):
+            cross_validate(ds.pairs, "drsl", cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("m1", [1, 2])
+    def test_drsl_folds_share_first_iteration_fits_exactly(self, monkeypatch, m1):
+        import drsl.evaluation as ev
+        import drsl.optimizer as opt
+
+        ds = _cv_dataset(nonlinearity="quadratic_mix", s=4, seed=5)
+        cfg = FitConfig(
+            m1=m1, m2=8, batch_size=40, layer_sizes=(16, 10, 8, 6), activation="tanh",
+            alpha=1.0, seed=7,
+        )
+        folds, outers = [], []
+        original_fit_method, original_fit_subject = ev.fit_method, opt.fit_subject
+
+        def spy_fit_method(datasets, method, config, **kw):
+            out = original_fit_method(datasets, method, config, **kw)
+            folds.append((list(datasets), out.group))
+            return out
+
+        def spy_fit_subject(*args, **kw):
+            outers.append(kw["outer"])
+            return original_fit_subject(*args, **kw)
+
+        monkeypatch.setattr(ev, "fit_method", spy_fit_method)
+        monkeypatch.setattr(opt, "fit_subject", spy_fit_subject)
+        cross_validate(ds.pairs, "drsl", cfg)
+        s = len(ds.pairs)
+        assert outers.count(0) == 2 * (s - 1)
+        assert outers.count(1) == (s * (s - 1) if m1 == 2 else 0)
+        assert len(folds) == s
+
+        for train, shared in folds:
+            fresh = opt.fit(train, cfg)
+            np.testing.assert_array_equal(shared.signatures.values, fresh.signatures.values)
+            for a, b in zip(shared.subject_fits, fresh.subject_fits, strict=True):
+                np.testing.assert_array_equal(a.signatures.values, b.signatures.values)
+                np.testing.assert_array_equal(a.mapped_responses, b.mapped_responses)
+                for (wa, ca), (wb, cb) in zip(a.params.layers, b.params.layers):
+                    np.testing.assert_array_equal(wa, wb)
+                    np.testing.assert_array_equal(ca, cb)
+
     def test_confusion_rows_sum_to_label_counts(self):
         ds = _cv_dataset(s=3)
         report = cross_validate(ds.pairs, "glm", FitConfig())

@@ -12,9 +12,11 @@ from drsl.data_model import (
 )
 from drsl.errors import DrslError, NonFinite, ShapeMismatch
 from drsl.kernel_net import FlatParameters, forward, init_params, standardize_outputs
+from drsl.baselines import fit_lrsl
 from drsl.optimizer import (
     ADAM_BLOCK,
     AdamState,
+    SubjectFit,
     adam_step,
     fit,
     fit_kernel_params,
@@ -527,6 +529,20 @@ class TestFitSubject:
                 assert not any(np.shares_memory(a, s) for layer in start.layers for s in layer)
                 with pytest.raises(ValueError):
                     a[...] = 0.0
+
+    def test_mapped_responses_are_read_only(self):
+        data, design = make_subject()
+        cfg = FitConfig(m2=5, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=1)
+        deep = fit_subject(data, design, SignatureMatrix(np.zeros((3, 4))), cfg)
+        linear = fit_lrsl([(data, design)], cfg).subject_fits[0]
+        for mapped in (deep.mapped_responses, linear.mapped_responses):
+            assert not mapped.flags.writeable
+            with pytest.raises(ValueError):
+                mapped[0, 0] = 1.0
+        # the fit freezes a view: the caller's own array stays writable
+        own = np.zeros((4, 2))
+        SubjectFit(deep.signatures, None, np.empty(0), own)
+        assert own.flags.writeable
 
     def test_kernel_trains_in_float32_and_returns_float64(self, monkeypatch):
         import drsl.optimizer as opt
