@@ -45,7 +45,6 @@ from .evaluation import (
 )
 from .kernel_net import (
     FlatParameters,
-    ForwardTrace,
     backprop,
     default_layer_sizes,
     forward,
@@ -77,7 +76,6 @@ __all__ = [
     "EventTable",
     "FitConfig",
     "FlatParameters",
-    "ForwardTrace",
     "GroupFit",
     "InitScheme",
     "MethodFit",

@@ -55,8 +55,8 @@ def fit_lasso(
     optimizer's elastic-net routine with no ridge term.
     """
     validate_pair(data, design)
-    if not alpha_lasso >= 0:
-        raise DrslError(f"alpha_lasso must be >= 0, got {alpha_lasso}")
+    if not 0.0 <= alpha_lasso < np.inf:
+        raise DrslError(f"alpha_lasso must be >= 0 and finite, got {alpha_lasso}")
     if not iterations >= 1:
         raise DrslError(f"lasso iterations must be >= 1, got {iterations}")
     d = design.values

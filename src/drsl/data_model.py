@@ -225,10 +225,10 @@ class FitConfig:
         object.__setattr__(self, "init", InitScheme(self.init))
         object.__setattr__(self, "regularizer", RegularizerMode(self.regularizer))
         # each guard is written so that NaN fails it
-        if not self.alpha >= 1.0:
-            raise DrslError(f"alpha must be >= 1, got {self.alpha}")
-        if not self.eta > 0.0:
-            raise DrslError(f"eta must be > 0, got {self.eta}")
+        if not 1.0 <= self.alpha < np.inf:
+            raise DrslError(f"alpha must be >= 1 and finite, got {self.alpha}")
+        if not 0.0 < self.eta < np.inf:
+            raise DrslError(f"eta must be > 0 and finite, got {self.eta}")
         if not (self.m1 >= 0 and self.m2 >= 0):
             raise DrslError(f"iteration counts must be >= 0, got m1={self.m1} m2={self.m2}")
         if not self.batch_size >= 1:

@@ -16,11 +16,14 @@ output layer once a run's statistics are known
 compute in the dtype of the buffers they are given, float32 or float64.
 Training passes float32 flat buffers and batches; a
 :class:`NetworkParameters` is float64 and maps in float64.
+
+A forward pass records only its activations h_1..h_C, the batch first and
+the output last; each hidden activation is applied in place to its layer's
+affine output, so a hidden layer holds one array per pass. Backprop needs
+nothing more: every activation's derivative is a function of h.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,22 +31,6 @@ from .data_model import Activation, InitScheme, NetworkParameters, validate_laye
 from .errors import ShapeMismatch
 
 _STANDARDIZE_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Intermediate values of one forward pass, kept for backprop.
-
-    ``activations`` holds h_1..h_C (h_1 is the input batch, h_C the
-    output); ``pre_activations`` holds the affine inputs z_2..z_C.
-    """
-
-    pre_activations: tuple[np.ndarray, ...]
-    activations: tuple[np.ndarray, ...]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.activations[-1]
 
 
 class FlatParameters:
@@ -142,37 +129,42 @@ def init_params(
 
 
 def _apply_activation(z: np.ndarray, activation: Activation) -> np.ndarray:
+    """Overwrite ``z`` with the activation of ``z`` and return it."""
     if activation is Activation.SIGMOID:
         # the logistic as 0.5 * (1 + tanh(z / 2)): no exp to overflow, and
         # no boolean masks to gather and scatter
-        out = np.multiply(z, 0.5)
-        np.tanh(out, out=out)
-        out += 1.0
-        out *= 0.5
-        return out
+        z *= 0.5
+        np.tanh(z, out=z)
+        z += 1.0
+        z *= 0.5
+        return z
     if activation is Activation.TANH:
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
-def _activation_derivative(z: np.ndarray, h: np.ndarray, activation: Activation) -> np.ndarray:
+def _activation_derivative(h: np.ndarray, activation: Activation) -> np.ndarray:
+    """d h / d z as a function of h alone; relu's h > 0 exactly where z > 0."""
     if activation is Activation.SIGMOID:
         return h * (1.0 - h)
     if activation is Activation.TANH:
         return 1.0 - h * h
-    return (z > 0).astype(h.dtype)
+    return (h > 0).astype(h.dtype)
 
 
 def forward(
     params: NetworkParameters | FlatParameters,
     batch: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
-) -> tuple[np.ndarray, ForwardTrace]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Map a batch (n x V_org) through the network to (n x V).
 
-    Hidden layers apply the activation componentwise; the output layer is
-    affine. The batch is cast to the dtype of ``params``, which every
-    intermediate value keeps.
+    Returns ``(output, activations)``: ``activations`` holds h_1..h_C, the
+    batch as cast (the caller's own array when no cast is needed) first and
+    ``output`` itself last. Hidden layers apply the activation
+    componentwise, in place on their affine output; the output layer is
+    affine. Neither ``batch`` nor ``params`` is written to. The batch is
+    cast to the dtype of ``params``, which every intermediate value keeps.
     """
     activation = Activation(activation)
     x = np.asarray(batch, dtype=params.layers[0][0].dtype)
@@ -180,15 +172,13 @@ def forward(
         raise ShapeMismatch(
             f"batch has shape {x.shape}, expected (n, {params.input_dim})"
         )
-    pre, acts = [], [x]
-    h = x
+    acts = [x]
     last = len(params.layers) - 1
     for m, (w, b) in enumerate(params.layers):
-        z = h @ w.T + b
-        pre.append(z)
-        h = z if m == last else _apply_activation(z, activation)
-        acts.append(h)
-    return h, ForwardTrace(pre_activations=tuple(pre), activations=tuple(acts))
+        h = acts[-1] @ w.T
+        h += b
+        acts.append(h if m == last else _apply_activation(h, activation))
+    return acts[-1], tuple(acts)
 
 
 def standardize_outputs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,39 +239,34 @@ def backprop(
     batch: np.ndarray,
     targets: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
-    trace: ForwardTrace | None = None,
 ) -> FlatParameters:
-    """Exact gradient of kernel_loss w.r.t. every weight and bias.
-
-    Accepts a precomputed forward trace to avoid a redundant pass; the
-    result is identical either way.
-    """
-    activation = Activation(activation)
-    if trace is None:
-        _, trace = forward(params, batch, activation)
-    out = trace.output
+    """Exact gradient of kernel_loss w.r.t. every weight and bias."""
+    out, activations = forward(params, batch, activation)
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != out.shape:
         raise ShapeMismatch(f"targets have shape {t.shape}, expected {out.shape}")
-    return backprop_output_grad(params, trace, 2.0 * (out - t), activation)
+    return backprop_output_grad(params, activations, 2.0 * (out - t), activation)
 
 
 def backprop_output_grad(
     params: NetworkParameters | FlatParameters,
-    trace: ForwardTrace,
+    activations: tuple[np.ndarray, ...],
     grad_output: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
     out: FlatParameters | None = None,
 ) -> FlatParameters:
-    """Chain a given dL/d(output) back through the network of ``trace``.
+    """Chain a given dL/d(output) back through ``params``.
 
-    The gradients are written into ``out`` (a fresh buffer of the trace's
-    dtype when None), which is returned and sets the dtype of the chain;
-    ``out`` must not be ``params`` itself.
+    ``activations`` is the record :func:`forward` returned for the same
+    network: h_m feeds layer m's weight gradient, and the derivative of
+    each hidden activation comes from h alone. The gradients are written
+    into ``out`` (a fresh buffer of the output's dtype when None), which is
+    returned and sets the dtype of the chain; ``out`` must not be
+    ``params`` itself.
     """
     activation = Activation(activation)
     if out is None:
-        out = FlatParameters(params.layer_sizes, trace.output.dtype)
+        out = FlatParameters(params.layer_sizes, activations[-1].dtype)
     elif out.layer_sizes != params.layer_sizes:
         raise ShapeMismatch(
             f"gradient buffer has layer sizes {out.layer_sizes}, "
@@ -291,11 +276,8 @@ def backprop_output_grad(
     for m in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[m]
         gw, gb = out.layers[m]
-        np.matmul(delta.T, trace.activations[m], out=gw)
+        np.matmul(delta.T, activations[m], out=gw)
         np.sum(delta, axis=0, out=gb)
         if m > 0:
-            upstream = delta @ w
-            delta = upstream * _activation_derivative(
-                trace.pre_activations[m - 1], trace.activations[m], activation
-            )
+            delta = (delta @ w) * _activation_derivative(activations[m], activation)
     return out

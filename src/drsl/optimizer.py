@@ -81,16 +81,16 @@ def _signature_array(b) -> np.ndarray:
 
 def regularizer(b, alpha: float) -> float:
     """Elementwise penalty sum(alpha*|beta| + 10*alpha*beta^2)."""
-    if not alpha >= 1.0:
-        raise DrslError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < np.inf:
+        raise DrslError(f"alpha must be >= 1 and finite, got {alpha}")
     arr = _signature_array(b)
     return float(np.sum(alpha * np.abs(arr) + 10.0 * alpha * arr * arr))
 
 
 def regularizer_grad(b, alpha: float) -> np.ndarray:
     """alpha*sign(B) + 20*alpha*B, with sign(0) = 0 (minimal subgradient)."""
-    if not alpha >= 1.0:
-        raise DrslError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < np.inf:
+        raise DrslError(f"alpha must be >= 1 and finite, got {alpha}")
     arr = _signature_array(b)
     return alpha * np.sign(arr) + 20.0 * alpha * arr
 
@@ -379,7 +379,7 @@ def _train(
     for k in range(config.m2):
         idx = sample_batch(rng, t, config.batch_size)
         xb, db = x[idx], d[idx]
-        z, trace = forward(theta, xb, config.activation)
+        z, activations = forward(theta, xb, config.activation)
         fb, scale = standardize_outputs(z)
         losses[k] = objective(b, db, fb, config.alpha, config.regularizer, data_weight=weight)
         if not np.isfinite(losses[k]):
@@ -389,7 +389,7 @@ def _train(
             )
         targets = (db @ b).astype(TRAIN_DTYPE)
         grad_out = standardize_backward(2.0 * (fb - targets), fb, scale)
-        backprop_output_grad(theta, trace, grad_out, config.activation, out=grads)
+        backprop_output_grad(theta, activations, grad_out, config.activation, out=grads)
         adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
     return theta.freeze(), losses
 
@@ -451,9 +451,7 @@ def check_group(datasets) -> tuple[tuple[str, ...], int, int]:
     return conditions, v_org, len(conditions)
 
 
-def fit(
-    datasets, config: FitConfig, subject_stream=None, *, first_fits: dict | None = None
-) -> GroupFit:
+def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> GroupFit:
     """Group training loop: M1 outer iterations over all subjects.
 
     The group signatures start standard-normal from the config seed; each
@@ -463,9 +461,6 @@ def fit(
     fresh in the first), then replaces the group signatures with the
     subject mean.
 
-    ``subject_stream(seed, outer, subject_index)`` may override the default
-    per-subject rng derivation (used by tests).
-
     ``first_fits`` shares outer-iteration-0 subject fits between calls on
     overlapping dataset lists. Such a fit depends only on the subject's
     data and design, its index in ``datasets`` (its seed stream), the
@@ -473,17 +468,13 @@ def fit(
     found under the key ``(id(data), id(design), index)`` is the one this
     call would compute, bit for bit. Misses are computed and stored; later
     outer iterations start from this call's own group mean and are never
-    shared. One dict serves one config and ``subject_stream``, and must not
-    outlive the data and design objects whose ids it holds.
+    shared. One dict serves one config, and must not outlive the data and
+    design objects whose ids it holds.
     :func:`drsl.evaluation.cross_validate` keeps one per call, where it
     holds at most 2(S-1) fits: subject s sits at index s-1 or s.
     """
     conditions, v_org, p = check_group(datasets)
     v = _resolve_sizes(config, v_org)[-1]
-    if subject_stream is None:
-        subject_stream = lambda seed, outer, idx: seed_stream(
-            seed, _STREAM_SUBJECT, outer, idx
-        )
 
     init_rng = seed_stream(config.seed, _STREAM_GROUP_INIT)
     b_tilde = init_rng.standard_normal((p, v))
@@ -503,7 +494,7 @@ def fit(
                     design,
                     b_start,
                     config,
-                    rng=subject_stream(config.seed, outer, idx),
+                    rng=seed_stream(config.seed, _STREAM_SUBJECT, outer, idx),
                     initial_params=thetas[idx],
                     outer=outer,
                 )

@@ -86,8 +86,8 @@ class SynthSpec:
         # each guard is written so that NaN fails it
         if not self.snr > 0:
             raise DrslError(f"snr must be > 0, got {self.snr}")
-        if not self.tr > 0:
-            raise DrslError(f"tr must be > 0, got {self.tr}")
+        if not 0.0 < self.tr < math.inf:
+            raise DrslError(f"tr must be > 0 and finite, got {self.tr}")
         if not (0.0 <= self.quadratic_gain < math.inf):
             raise DrslError(
                 f"quadratic_gain must be finite and >= 0, got {self.quadratic_gain}"

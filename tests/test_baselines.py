@@ -93,12 +93,12 @@ class TestFitLasso:
 
     def test_negative_penalty_rejected(self):
         data, design, _ = make_problem()
-        with pytest.raises(DrslError, match="alpha_lasso must be >= 0, got -1.0"):
+        with pytest.raises(DrslError, match="alpha_lasso must be >= 0 and finite, got -1.0"):
             fit_lasso(data, design, alpha_lasso=-1.0)
 
     def test_nan_penalty_rejected(self):
         data, design, _ = make_problem()
-        with pytest.raises(DrslError, match="alpha_lasso must be >= 0, got nan"):
+        with pytest.raises(DrslError, match="alpha_lasso must be >= 0 and finite, got nan"):
             fit_lasso(data, design, alpha_lasso=float("nan"))
 
     def test_auto_step_below_stability_limit(self):

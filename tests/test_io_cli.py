@@ -310,7 +310,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["synth", "--tr", "nan"], "tr must be > 0, got nan"),
+            (["synth", "--tr", "nan"], "tr must be > 0 and finite, got nan"),
             (["synth", "--snr", "nan"], "snr must be > 0, got nan"),
             (["fit", "--method", "lasso", "--lasso-alpha", "nan"], "alpha_lasso must be >= 0"),
             (["fit", "--method", "glm", "--layers", "8,x"], "--layers must be comma-separated"),
@@ -320,9 +320,15 @@ class TestCli:
             (["fit", "--method", "lasso", "--lasso-iters", "-5"],
              "lasso iterations must be >= 1, got -5"),
             (["fit", "--method", "drsl", "--m1", "0"], "drsl needs m1 >= 1 outer iterations"),
+            (["cv", "--method", "lrsl", "--alpha", "inf"], "alpha must be >= 1 and finite, got inf"),
+            (["fit", "--method", "drsl", "--eta", "inf"], "eta must be > 0 and finite, got inf"),
+            (["fit", "--method", "lasso", "--lasso-alpha", "inf"],
+             "alpha_lasso must be >= 0 and finite, got inf"),
+            (["synth", "--tr", "inf"], "tr must be > 0 and finite, got inf"),
         ],
         ids=["synth-tr", "synth-snr", "lasso-alpha", "layers", "schedule",
-             "schedule-nonpositive", "iters-m2-zero", "lasso-iters", "drsl-m1-zero"],
+             "schedule-nonpositive", "iters-m2-zero", "lasso-iters", "drsl-m1-zero",
+             "lrsl-alpha-inf", "drsl-eta-inf", "lasso-alpha-inf", "synth-tr-inf"],
     )
     def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, argv, message):
         data_dir = str(tmp_path / "d")

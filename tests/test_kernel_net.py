@@ -98,10 +98,10 @@ class TestForward:
             for m in range(3)
         )
         params = NetworkParameters(layers, sizes)
-        out, trace = forward(params, np.ones((5, 4)), "sigmoid")
+        out, activations = forward(params, np.ones((5, 4)), "sigmoid")
         np.testing.assert_array_equal(out, 0.0)
         # hidden activations sit at sigmoid(0) = 0.5
-        np.testing.assert_array_equal(trace.activations[1], 0.5)
+        np.testing.assert_array_equal(activations[1], 0.5)
 
     def test_final_bias_sets_every_row(self):
         sizes = (4, 3, 2)
@@ -130,9 +130,22 @@ class TestForward:
     def test_trace_endpoints(self):
         params = init_params((3, 4, 4, 2), "scaled_normal", seed=5)
         x = np.random.default_rng(0).standard_normal((4, 3))
-        out, trace = forward(params, x, "tanh")
-        np.testing.assert_array_equal(trace.activations[0], x)
-        np.testing.assert_array_equal(trace.activations[-1], out)
+        out, activations = forward(params, x, "tanh")
+        assert len(activations) == 4
+        assert activations[0] is x and activations[-1] is out
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_batch_and_parameters_left_bitwise_unchanged(self, activation, dtype):
+        params = init_params((6, 5, 4, 3), "paper_normal", seed=2)
+        x = np.random.default_rng(1).standard_normal((7, 6)).astype(dtype)
+        x_before = x.tobytes()
+        for net in (params, FlatParameters.from_params(params, dtype)):
+            before = [a.tobytes() for layer in net.layers for a in layer]
+            _, activations = forward(net, x, activation)
+            assert (activations[0] is x) == (net.layers[0][0].dtype == dtype)
+            assert x.tobytes() == x_before
+            assert [a.tobytes() for layer in net.layers for a in layer] == before
 
     def test_wrong_width_rejected(self):
         params = init_params((3, 4, 4, 2), "scaled_normal", seed=5)
@@ -247,16 +260,18 @@ class TestBackprop:
             )
 
 
-def _allocating_backprop(params, trace, grad_output, activation):
+def _allocating_backprop(params, activations, grad_output, activation):
     """Backprop that allocates each layer's gradient, as it did before it
-    wrote into a flat buffer; the reference for the buffered form."""
+    wrote into a flat buffer; the reference for the buffered form. Relu's
+    derivative reads the pre-activation z, recomputed from the layer input."""
     grads = [None] * len(params.layers)
     delta = grad_output
     for m in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[m]
-        grads[m] = (delta.T @ trace.activations[m], delta.sum(axis=0))
+        grads[m] = (delta.T @ activations[m], delta.sum(axis=0))
         if m > 0:
-            z, h = trace.pre_activations[m - 1], trace.activations[m]
+            w_in, b_in = params.layers[m - 1]
+            z, h = activations[m - 1] @ w_in.T + b_in, activations[m]
             if activation == "sigmoid":
                 derivative = h * (1.0 - h)
             elif activation == "tanh":
@@ -268,21 +283,38 @@ def _allocating_backprop(params, trace, grad_output, activation):
 
 
 class TestGradientBuffer:
-    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
-    def test_written_gradient_equals_allocating_backprop(self, activation):
+    @pytest.mark.parametrize(
+        "activation, zero",
+        [
+            pytest.param("sigmoid", False, id="sigmoid"),
+            pytest.param("tanh", False, id="tanh"),
+            pytest.param("relu", False, id="relu"),
+            # hidden layers all zero: every hidden z is exactly 0, where relu's
+            # h > 0 and z > 0 must agree; the output layer carries the gradient back
+            pytest.param("relu", True, id="relu-zero"),
+        ],
+    )
+    def test_written_gradient_equals_allocating_backprop(self, activation, zero):
         rng = np.random.default_rng(12)
         sizes = (30, 25, 18, 7)
         params = init_params(sizes, "paper_normal", seed=6)
         flat = FlatParameters.from_params(params)
+        if zero:
+            for w, b in flat.layers[:-1]:
+                w[...] = 0.0
+                b[...] = 0.0
+            params = flat.freeze()
         x = rng.standard_normal((13, 30))
         grad_output = rng.standard_normal((13, 7))
-        _, trace = forward(params, x, activation)
-        expected = _allocating_backprop(params, trace, grad_output, activation)
+        _, activations = forward(params, x, activation)
+        expected = _allocating_backprop(params, activations, grad_output, activation)
         for net in (params, flat):
-            _, net_trace = forward(net, x, activation)
+            _, net_activations = forward(net, x, activation)
             buffer = FlatParameters(sizes)
             buffer.flat[:] = np.nan
-            got = backprop_output_grad(net, net_trace, grad_output, activation, out=buffer)
+            got = backprop_output_grad(
+                net, net_activations, grad_output, activation, out=buffer
+            )
             assert got is buffer
             for (gw, gb), (ew, eb) in zip(buffer.layers, expected):
                 np.testing.assert_array_equal(gw, ew)
@@ -290,9 +322,11 @@ class TestGradientBuffer:
 
     def test_buffer_of_other_sizes_rejected(self):
         params = init_params((4, 3, 2), seed=0)
-        _, trace = forward(params, np.ones((2, 4)))
+        _, activations = forward(params, np.ones((2, 4)))
         with pytest.raises(ShapeMismatch):
-            backprop_output_grad(params, trace, np.ones((2, 2)), out=FlatParameters((4, 3, 3)))
+            backprop_output_grad(
+                params, activations, np.ones((2, 2)), out=FlatParameters((4, 3, 3))
+            )
 
     def test_flat_copy_and_freeze_share_no_memory(self):
         params = init_params((5, 4, 3), seed=1)
@@ -338,9 +372,9 @@ class TestFloat32:
         params, flat = self.nets()
         x = np.random.default_rng(2).standard_normal((13, 30))
         expected, _ = forward(params, x, activation)
-        got, trace = forward(flat, x.astype(np.float32), activation)
+        got, activations = forward(flat, x.astype(np.float32), activation)
         assert got.dtype == np.float32
-        assert all(a.dtype == np.float32 for a in (*trace.activations, *trace.pre_activations))
+        assert all(a.dtype == np.float32 for a in activations)
         np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-5)
 
     def test_standardization_stays_float32_and_matches_float64(self):
@@ -359,12 +393,12 @@ class TestFloat32:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((13, 30))
         grad_output = rng.standard_normal((13, 7))
-        _, trace = forward(params, x, activation)
-        expected = _allocating_backprop(params, trace, grad_output, activation)
-        _, trace32 = forward(flat, x.astype(np.float32), activation)
+        _, activations = forward(params, x, activation)
+        expected = _allocating_backprop(params, activations, grad_output, activation)
+        _, activations32 = forward(flat, x.astype(np.float32), activation)
         buffer = FlatParameters(self.sizes, np.float32)
         got = backprop_output_grad(
-            flat, trace32, grad_output.astype(np.float32), activation, out=buffer
+            flat, activations32, grad_output.astype(np.float32), activation, out=buffer
         )
         assert got is buffer and buffer.flat.dtype == np.float32
         for (gw, gb), (ew, eb) in zip(buffer.layers, expected):
@@ -398,8 +432,11 @@ class TestActivationContract:
         logistic = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _apply_activation(z, Activation.SIGMOID)
+            # the activation overwrites its argument, so z itself stays for the checks
+            work = z.copy()
+            got = _apply_activation(work, Activation.SIGMOID)
             ends = _apply_activation(np.array([-1000.0, 1000.0]), Activation.SIGMOID)
+        assert got is work
         np.testing.assert_allclose(got, logistic, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(ends, [0.0, 1.0])
         assert z.min() < -20 and z.max() > 20
@@ -444,10 +481,10 @@ class TestOutputStandardization:
             y, _ = standardize_outputs(forward(p, x, activation)[0])
             return float(np.sum((y - t) ** 2))
 
-        z, trace = forward(params, x, activation)
+        z, activations = forward(params, x, activation)
         y, scale = standardize_outputs(z)
         grads = backprop_output_grad(
-            params, trace, standardize_backward(2.0 * (y - t), y, scale), activation
+            params, activations, standardize_backward(2.0 * (y - t), y, scale), activation
         )
         h = 1e-6
         for li in range(len(params.layers)):
@@ -467,9 +504,9 @@ class TestOutputStandardization:
         params = init_params((4, 3, 2), "scaled_normal", seed=1)
         x = rng.standard_normal((6, 4))
         t = rng.standard_normal((6, 2))
-        out, trace = forward(params, x, "tanh")
+        out, activations = forward(params, x, "tanh")
         a = backprop(params, x, t, "tanh")
-        b = backprop_output_grad(params, trace, 2.0 * (out - t), "tanh")
+        b = backprop_output_grad(params, activations, 2.0 * (out - t), "tanh")
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ba, bb)

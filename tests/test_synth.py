@@ -31,7 +31,7 @@ BAD_SPECS = [
     ({"quadratic_gain": float("nan")}, "quadratic_gain must be finite and >= 0"),
     ({"quadratic_gain": float("inf")}, "quadratic_gain must be finite and >= 0"),
     ({"snr": float("nan")}, "snr must be > 0, got nan"),
-    ({"tr": float("nan")}, "tr must be > 0, got nan"),
+    ({"tr": float("nan")}, "tr must be > 0 and finite, got nan"),
 ]
 
 
