@@ -7,12 +7,24 @@ tr, n_scans, conditions, subjects) plus per-subject ``sub-<id>_bold.tsv``
 significant digits so a round trip reproduces every 64-bit value exactly;
 TSV keeps fixtures diffable and checkable by any external tool.
 
+Beside each bold TSV, :func:`write_dataset` leaves a binary copy of the
+matrix the TSV parses to, ``sub-<id>_bold.<sha256 of the TSV's bytes>.npy``.
+Only a dataset that :func:`write_dataset` wrote, with its TSV unedited
+since, is read from the copy; a dataset written by another tool has no
+copy, and its read lists the directory once per subject and parses the
+TSV, with no hash. The TSV stays authoritative: where a subject has a
+copy, a read hashes the TSV and loads the copy of that name when it
+exists and is readable, and parses the TSV otherwise, so an edited TSV is
+parsed again and deleting the copies is always safe. Reads write nothing.
+
 Results are long-format CSVs with fixed headers, ready for plotting.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +55,53 @@ def _events_name(subject_id: str) -> str:
     return f"sub-{subject_id}_events.tsv"
 
 
+def _bold_copy_name(subject_id: str, digest: str) -> str:
+    return f"sub-{subject_id}_bold.{digest}.npy"
+
+
+def _sha256(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _bold_copies(path: str, subject_id: str) -> list[str]:
+    """Names of the subject's bold copies in ``path``, whatever hash they carry."""
+    copy = re.compile(re.escape(f"sub-{subject_id}_bold.") + r"[0-9a-f]{64}\.npy")
+    return [name for name in os.listdir(path) if copy.fullmatch(name)]
+
+
 def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> None:
-    """Write subjects and their event tables under ``path``."""
+    """Write subjects, their event tables and the bold copies under ``path``.
+
+    A subject list that would not read back as written (a repeated or
+    unwritable id, or voxel counts that differ) raises ParseError before
+    any file is written. Rewriting a subject replaces its bold copy.
+    """
     if not pairs:
         raise DrslError("nothing to write: no subjects")
     tr = pairs[0][1].tr
     n_scans = pairs[0][1].n_scans
     conditions = pairs[0][1].conditions
+    first = pairs[0][0]
+    seen = set()
     for data, events in pairs:
+        sid = data.subject_id
+        if not sid or any(c in sid for c in (",", "\t", "\n", "\r", "/", os.sep)):
+            raise ParseError(
+                f"subject {sid!r}: an id must be non-empty, with no ',', tab, "
+                "newline or path separator"
+            )
+        if sid in seen:
+            raise ParseError(f"subject {sid!r} appears twice")
+        seen.add(sid)
+        if data.n_voxels != first.n_voxels:
+            raise ParseError(
+                f"subject {sid!r} has {data.n_voxels} voxels, "
+                f"subject {first.subject_id!r} has {first.n_voxels}"
+            )
         if events.tr != tr or events.n_scans != n_scans or events.conditions != conditions:
             raise ParseError(
                 f"subject {data.subject_id!r} disagrees with the shared scan grid"
@@ -69,7 +120,16 @@ def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> Non
     with open(os.path.join(path, MANIFEST_NAME), "w", newline="") as fh:
         fh.write("\n".join(manifest) + "\n")
     for data, events in pairs:
-        write_matrix_tsv(os.path.join(path, _bold_name(data.subject_id)), data.responses)
+        bold = os.path.join(path, _bold_name(data.subject_id))
+        for name in _bold_copies(path, data.subject_id):
+            os.remove(os.path.join(path, name))
+        write_matrix_tsv(bold, data.responses)
+        # the copy holds what the TSV parses to: "%.17g" writes every NaN as
+        # nan, and the parse returns a C-ordered array
+        copy = os.path.join(path, _bold_copy_name(data.subject_id, _sha256(bold)))
+        parsed = np.where(np.isnan(data.responses), np.nan, data.responses)
+        with open(copy, "wb") as fh:
+            np.save(fh, np.ascontiguousarray(parsed), allow_pickle=False)
         with open(os.path.join(path, _events_name(data.subject_id)), "w", newline="") as fh:
             fh.write(EVENTS_HEADER + "\n")
             for ev in events.events:
@@ -151,8 +211,30 @@ def _locate_parse_error(path: str, name: str, exc: ValueError) -> ParseError:
     return ParseError(f"{name}: {exc}")
 
 
-def _read_bold(path: str, name: str, n_scans: int) -> np.ndarray:
-    bold = read_matrix_tsv(os.path.join(path, name))
+def _load_copy(path: str) -> np.ndarray | None:
+    """The float64 matrix saved at ``path``, or None if it is missing or unreadable."""
+    try:
+        bold = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if isinstance(bold, np.ndarray) and bold.dtype == np.float64 and bold.ndim == 2:
+        return bold
+    return None
+
+
+def _read_bold(path: str, subject_id: str, n_scans: int) -> np.ndarray:
+    """The bold matrix: the copy named by the TSV's hash if readable, else the parse.
+
+    The TSV is hashed only when the subject has some copy, so a dataset
+    that no :func:`write_dataset` wrote pays no hash.
+    """
+    name = _bold_name(subject_id)
+    full = os.path.join(path, name)
+    bold = None
+    if os.path.isfile(full) and _bold_copies(path, subject_id):
+        bold = _load_copy(os.path.join(path, _bold_copy_name(subject_id, _sha256(full))))
+    if bold is None:
+        bold = read_matrix_tsv(full)
     if bold.shape[0] != n_scans:
         raise ParseError(f"{name} has {bold.shape[0]} rows, manifest says {n_scans}")
     return bold
@@ -208,7 +290,7 @@ def read_dataset(path: str) -> list[tuple[SubjectData, DesignMatrix]]:
     out = []
     n_voxels = None
     for sid in manifest["subjects"]:
-        bold = _read_bold(path, _bold_name(sid), manifest["n_scans"])
+        bold = _read_bold(path, sid, manifest["n_scans"])
         if n_voxels is None:
             n_voxels = bold.shape[1]
         elif bold.shape[1] != n_voxels:

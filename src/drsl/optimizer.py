@@ -147,11 +147,16 @@ def objective(
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
-    resid = f - d @ arr
-    data = data_weight * float(np.sum(resid * resid))
+    data = _data_term(f, d @ arr, data_weight)
     if RegularizerMode(regularizer_mode) is RegularizerMode.DISABLED:
         return data
     return data + regularizer(arr, alpha)
+
+
+def _data_term(f_outputs: np.ndarray, targets: np.ndarray, data_weight: float) -> float:
+    """w * ||f - targets||^2 in float64; a float32 ``f_outputs`` widens exactly."""
+    resid = f_outputs - targets
+    return data_weight * float(np.sum(resid * resid))
 
 
 def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -375,20 +380,24 @@ def _train(
     state = AdamState(theta.layer_sizes, TRAIN_DTYPE)
 
     weight = t / config.batch_size
+    # B is frozen, so its penalty is one number per fit
+    penalty = (regularizer(b, config.alpha)
+               if RegularizerMode(config.regularizer) is RegularizerMode.ENABLED else 0.0)
     losses = np.empty(config.m2)
     for k in range(config.m2):
         idx = sample_batch(rng, t, config.batch_size)
         xb, db = x[idx], d[idx]
         z, activations = forward(theta, xb, config.activation)
         fb, scale = standardize_outputs(z)
-        losses[k] = objective(b, db, fb, config.alpha, config.regularizer, data_weight=weight)
+        # objective() of the batch, with db @ b formed once for loss and gradient
+        targets = db @ b
+        losses[k] = _data_term(fb, targets, weight) + penalty
         if not np.isfinite(losses[k]):
             raise NonFinite(
                 f"subject {data.subject_id!r} diverged at {where}, step {k}: batch "
                 f"loss {losses[k]!r} (try a smaller eta)"
             )
-        targets = (db @ b).astype(TRAIN_DTYPE)
-        grad_out = standardize_backward(2.0 * (fb - targets), fb, scale)
+        grad_out = standardize_backward(2.0 * (fb - targets.astype(TRAIN_DTYPE)), fb, scale)
         backprop_output_grad(theta, activations, grad_out, config.activation, out=grads)
         adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
     return theta.freeze(), losses

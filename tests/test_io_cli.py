@@ -1,12 +1,15 @@
 import csv
+import hashlib
 import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from drsl.cli import run_cli
-from drsl.data_model import FitConfig
+from drsl.data_model import FitConfig, SubjectData
 from drsl.dataset_io import (
     RunResult,
     read_dataset,
@@ -134,6 +137,153 @@ class TestDatasetRoundTrip:
         open(events, "w").write("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="condition 'mystery' not in manifest"):
             read_dataset(path)
+
+
+def bold_copies(path):
+    return sorted(name for name in os.listdir(path) if name.endswith(".npy"))
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestBoldCopy:
+    def test_one_copy_per_subject_named_by_the_tsv_hash(self, small_dataset):
+        path, ds = small_dataset
+        expected = []
+        for subj in ds.subjects:
+            tsv = open(os.path.join(path, f"sub-{subj.subject_id}_bold.tsv"), "rb").read()
+            name = f"sub-{subj.subject_id}_bold.{hashlib.sha256(tsv).hexdigest()}.npy"
+            np.testing.assert_array_equal(np.load(os.path.join(path, name)), subj.responses)
+            expected.append(name)
+        assert bold_copies(path) == sorted(expected)
+
+    def test_copy_is_read_in_place_of_the_parse(self, small_dataset):
+        path, ds = small_dataset
+        (name,) = [n for n in bold_copies(path) if n.startswith("sub-02_")]
+        np.save(os.path.join(path, name), ds.subjects[1].responses + 1.0)
+        loaded = read_dataset(path)
+        np.testing.assert_array_equal(loaded[1][0].responses, ds.subjects[1].responses + 1.0)
+
+    def test_special_values_read_the_same_with_and_without_copy(self, small_dataset, tmp_path):
+        _, ds = small_dataset
+        responses = np.array(ds.subjects[0].responses)
+        specials = [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf,
+            from_bits(0x7FF0000000000123), from_bits(0xFFF8000000000001),
+        ]
+        responses.flat[: len(specials)] = specials
+        path = str(tmp_path / "specials")
+        write_dataset(path, [(SubjectData("01", responses), ds.events)])
+        cached = read_dataset(path)[0][0].responses.tobytes()
+        for name in bold_copies(path):
+            os.remove(os.path.join(path, name))
+        parsed = read_dataset(path)[0][0].responses.tobytes()
+        assert cached == parsed
+
+    def test_fortran_ordered_subject_reads_back_c_ordered(self, small_dataset, tmp_path):
+        _, ds = small_dataset
+        subj = SubjectData("01", np.asfortranarray(ds.subjects[0].responses))
+        assert not subj.responses.flags.c_contiguous
+        path = str(tmp_path / "fortran")
+        write_dataset(path, [(subj, ds.events)])
+        cached = read_dataset(path)[0][0].responses
+        assert cached.flags.c_contiguous
+        for name in bold_copies(path):
+            os.remove(os.path.join(path, name))
+        parsed = read_dataset(path)[0][0].responses
+        assert parsed.flags.c_contiguous and cached.tobytes() == parsed.tobytes()
+
+    def test_dataset_without_copies_is_parsed_without_hashing(self, small_dataset,
+                                                              monkeypatch):
+        import drsl.dataset_io as dio
+
+        path, ds = small_dataset
+        for name in bold_copies(path):
+            os.remove(os.path.join(path, name))
+
+        def no_hash(_):
+            raise AssertionError("hashed a TSV that has no copy")
+
+        monkeypatch.setattr(dio, "_sha256", no_hash)
+        for (data, _), subj in zip(read_dataset(path), ds.subjects):
+            np.testing.assert_array_equal(data.responses, subj.responses)
+
+    def test_tsv_nudged_by_one_ulp_reads_the_nudged_value(self, small_dataset):
+        path, ds = small_dataset
+        bold = os.path.join(path, "sub-01_bold.tsv")
+        lines = open(bold).read().splitlines()
+        fields = lines[3].split("\t")
+        nudged = np.nextafter(float(fields[1]), np.inf)
+        fields[1] = f"{nudged:.17g}"
+        lines[3] = "\t".join(fields)
+        open(bold, "w").write("\n".join(lines) + "\n")
+        got = read_dataset(path)[0][0].responses
+        assert got[3, 1] == nudged != ds.subjects[0].responses[3, 1]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: b"not a numpy file",
+        lambda data: data[: len(data) // 2],
+        lambda data: data[:40],
+        lambda data: b"",
+    ], ids=["garbage", "truncated-data", "truncated-header", "empty"])
+    def test_unreadable_copy_falls_back_to_the_tsv(self, small_dataset, corrupt):
+        path, ds = small_dataset
+        for name in bold_copies(path):
+            copy = os.path.join(path, name)
+            data = open(copy, "rb").read()
+            open(copy, "wb").write(corrupt(data))
+        for (data, _), subj in zip(read_dataset(path), ds.subjects):
+            np.testing.assert_array_equal(data.responses, subj.responses)
+
+    def test_tsv_deleted_while_its_copy_remains(self, small_dataset):
+        path, _ = small_dataset
+        os.remove(os.path.join(path, "sub-01_bold.tsv"))
+        assert any(name.startswith("sub-01_bold.") for name in bold_copies(path))
+        with pytest.raises(ParseError, match="missing sub-01_bold.tsv"):
+            read_dataset(path)
+
+    def test_rewrite_in_place_leaves_one_copy_per_subject(self, small_dataset):
+        path, ds = small_dataset
+        doubled = [SubjectData(s.subject_id, s.responses * 2.0) for s in ds.subjects]
+        write_dataset(path, [(subj, ds.events) for subj in doubled])
+        copies = bold_copies(path)
+        assert [name.split("_")[0] for name in copies] == ["sub-01", "sub-02", "sub-03"]
+        for (data, _), subj in zip(read_dataset(path), doubled):
+            np.testing.assert_array_equal(data.responses, subj.responses)
+
+    def test_read_creates_no_file(self, small_dataset):
+        path, _ = small_dataset
+        before = sorted(os.listdir(path))
+        read_dataset(path)
+        assert sorted(os.listdir(path)) == before
+        for name in bold_copies(path):
+            os.remove(os.path.join(path, name))
+        read_dataset(path)
+        assert bold_copies(path) == []
+
+
+class TestWriteDatasetRejects:
+    @pytest.mark.parametrize("ids,voxels,message", [
+        (["01", "02", "01"], [10, 10, 10], "subject '01' appears twice"),
+        (["01", "02"], [10, 9], "subject '02' has 9 voxels, subject '01' has 10"),
+        (["a,b"], [10], "subject 'a,b': an id must be"),
+        (["a\tb"], [10], "subject 'a\\tb': an id must be"),
+        (["a\nb"], [10], "subject 'a\\nb': an id must be"),
+        (["../x"], [10], "subject '../x': an id must be"),
+        ([""], [10], "subject '': an id must be"),
+    ], ids=["duplicate", "voxels", "comma", "tab", "newline", "path", "empty"])
+    def test_rejected_before_any_file_is_written(self, small_dataset, tmp_path, ids, voxels,
+                                                 message):
+        _, ds = small_dataset
+        base = ds.subjects[0].responses
+        pairs = [(SubjectData(sid, base[:, :v]), ds.events) for sid, v in zip(ids, voxels)]
+        path = tmp_path / "out"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            write_dataset(str(path), pairs)
+        assert not path.exists()
+        assert sorted(os.listdir(tmp_path)) == ["data"]
 
 
 def reference_matrix_tsv(values) -> bytes:
