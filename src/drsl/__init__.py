@@ -41,15 +41,12 @@ from .evaluation import (
     group_mse,
     pearson_corr,
     predict,
-    residual_scale,
 )
 from .kernel_net import (
     FlatParameters,
-    backprop,
     default_layer_sizes,
     forward,
     init_params,
-    kernel_loss,
 )
 from .optimizer import (
     AdamState,
@@ -58,7 +55,6 @@ from .optimizer import (
     adam_step,
     fit,
     fit_subject,
-    grad_b,
     objective,
     regularizer,
     sample_batch,
@@ -88,7 +84,6 @@ __all__ = [
     "SubjectFit",
     "SynthSpec",
     "adam_step",
-    "backprop",
     "between_class_correlation",
     "build_design_column",
     "build_design_matrix",
@@ -105,15 +100,12 @@ __all__ = [
     "fit_subject",
     "forward",
     "generate_dataset",
-    "grad_b",
     "group_mse",
     "init_params",
-    "kernel_loss",
     "objective",
     "pearson_corr",
     "predict",
     "regularizer",
-    "residual_scale",
     "sample_batch",
     "standardize_columns",
     "validate_pair",

@@ -41,8 +41,8 @@ from .evaluation import (
     fit_method,
     group_mse,
 )
-from .kernel_net import backprop, init_params, kernel_loss
-from .optimizer import grad_b, objective
+from .kernel_net import FlatParameters, init_params
+from .optimizer import TRAIN_DTYPE, _batch_gradient, _kkt_violation, signature_step
 from .synth import SynthSpec, generate_dataset
 
 
@@ -292,56 +292,50 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    """Check the batch gradient every training step takes, and the B solve.
+
+    The gradient is :func:`drsl.optimizer._batch_gradient`'s, standardization
+    included: in float64 against central differences of its unweighted data
+    term, and in float32 against float64 at the same theta (the batch is
+    rounded to float32 first, so both dtypes see one input).
+    """
     rng = np.random.default_rng(args.seed)
+    sizes = (6, 5, 4, 3)
+    worst_fd = worst_f32 = 0.0
+    h = 1e-6
+    for activation in ("sigmoid", "tanh", "relu"):
+        params = init_params(sizes, "scaled_normal", rng=rng)
+        x = rng.standard_normal((9, sizes[0])).astype(TRAIN_DTYPE)
+        d = rng.standard_normal((9, 2))
+        b = rng.standard_normal((2, sizes[-1]))
+        x64 = x.astype(np.float64)
+        theta, grads = FlatParameters.from_params(params), FlatParameters(sizes)
+        _batch_gradient(theta, x64, d, b, activation, 1.0, grads)
+        scratch = FlatParameters(sizes)
+        for i, value in enumerate(theta.flat.copy()):
+            theta.flat[i] = value + h
+            plus = _batch_gradient(theta, x64, d, b, activation, 1.0, scratch)
+            theta.flat[i] = value - h
+            minus = _batch_gradient(theta, x64, d, b, activation, 1.0, scratch)
+            theta.flat[i] = value
+            fd = (plus - minus) / (2 * h)
+            worst_fd = max(worst_fd, abs(grads.flat[i] - fd) / max(1.0, abs(fd)))
+        grads32 = FlatParameters(sizes, TRAIN_DTYPE)
+        _batch_gradient(FlatParameters.from_params(params, TRAIN_DTYPE), x, d, b,
+                        activation, 1.0, grads32)
+        err = np.max(np.abs(grads32.flat - grads.flat)) / np.max(np.abs(grads.flat))
+        worst_f32 = max(worst_f32, float(err))
     worst_b = 0.0
     for _ in range(10):
-        p, v, n = 3, 5, 8
-        b = rng.standard_normal((p, v))
-        d = rng.standard_normal((n, p))
-        f = rng.standard_normal((n, v))
-        analytic = grad_b(b, d, f, alpha=10.0)
-        h = 1e-6
-        for k in range(p):
-            for j in range(v):
-                if abs(b[k, j]) <= 1e-3:
-                    continue
-                bp, bm = b.copy(), b.copy()
-                bp[k, j] += h
-                bm[k, j] -= h
-                fd = (objective(bp, d, f, 10.0) - objective(bm, d, f, 10.0)) / (2 * h)
-                rel = abs(analytic[k, j] - fd) / max(1.0, abs(fd))
-                worst_b = max(worst_b, rel)
-    worst_theta = 0.0
-    for activation in ("sigmoid", "tanh"):
-        params = init_params((6, 5, 4, 3), "scaled_normal", rng=rng)
-        x = rng.standard_normal((7, 6))
-        t = rng.standard_normal((7, 3))
-        grads = backprop(params, x, t, activation)
-        h = 1e-5
-        for li, (w, bias) in enumerate(params.layers):
-            for arr_idx, arr in enumerate((w, bias)):
-                flat = arr.ravel()
-                for pos in range(flat.size):
-                    layers = [
-                        (wi.copy(), bi.copy()) for wi, bi in params.layers
-                    ]
-                    target = layers[li][arr_idx].ravel()
-                    target[pos] += h
-                    plus = kernel_loss(
-                        type(params)(layers=tuple(layers), layer_sizes=params.layer_sizes),
-                        x, t, activation,
-                    )
-                    target[pos] -= 2 * h
-                    minus = kernel_loss(
-                        type(params)(layers=tuple(layers), layer_sizes=params.layer_sizes),
-                        x, t, activation,
-                    )
-                    fd = (plus - minus) / (2 * h)
-                    rel = abs(grads.layers[li][arr_idx].ravel()[pos] - fd) / max(1.0, abs(fd))
-                    worst_theta = max(worst_theta, rel)
-    print(f"grad_b max relative error:    {worst_b:.3e} (threshold 1e-6)")
-    print(f"backprop max relative error:  {worst_theta:.3e} (threshold 1e-5)")
-    ok = worst_b < 1e-6 and worst_theta < 1e-5
+        b = rng.standard_normal((3, 5))
+        d = rng.standard_normal((8, 3))
+        f = rng.standard_normal((8, 5))
+        for alpha in (1.0, 10.0):
+            worst_b = max(worst_b, _kkt_violation(signature_step(b, d, f, alpha), d, f, alpha))
+    print(f"float64 batch gradient, max relative error: {worst_fd:.3e} (threshold 1e-5)")
+    print(f"float32 batch gradient, error / max|g|:     {worst_f32:.3e} (threshold 1e-3)")
+    print(f"B solve, max KKT violation:                 {worst_b:.3e} (threshold 1e-6)")
+    ok = worst_fd < 1e-5 and worst_f32 < 1e-3 and worst_b < 1e-6
     if not ok:
         print("gradcheck FAILED", file=sys.stderr)
     return 0 if ok else 1
@@ -421,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=_cmd_cv)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
+    p = sub.add_parser("gradcheck", help="check the training gradient and the B solve")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 

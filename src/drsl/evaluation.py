@@ -120,13 +120,6 @@ def group_mse(responses, signatures, designs) -> float:
     return total / count
 
 
-def residual_scale(data, design, signatures) -> np.ndarray:
-    """Per-feature RMS of the model residual, floored at 1e-8."""
-    resid = _residual(data, design, signatures)
-    rms = np.sqrt(np.mean(resid * resid, axis=0))
-    return np.maximum(rms, _RESIDUAL_FLOOR)
-
-
 def pooled_residual_scale(responses, designs, signatures: SignatureMatrix) -> np.ndarray:
     """Residual scale pooled over several subjects sharing one signature set."""
     total = None

@@ -1,4 +1,4 @@
-"""The deep transformation f(x; theta): forward pass, loss, and backprop.
+"""The deep transformation f(x; theta): forward pass, output standardization, backprop.
 
 A plain MLP with nonlinear hidden layers and an affine output layer (the
 mapped space feeds a regression, so the last layer carries no activation).
@@ -217,35 +217,6 @@ def fold_output_standardization(
     w, b = params.layers[-1]
     last = (w / scale[:, None], (b - mean) / scale)
     return NetworkParameters(layers=(*params.layers[:-1], last), layer_sizes=params.layer_sizes)
-
-
-def kernel_loss(
-    params: NetworkParameters,
-    batch: np.ndarray,
-    targets: np.ndarray,
-    activation: Activation | str = Activation.SIGMOID,
-) -> float:
-    """Sum over batch rows of the squared Euclidean output error."""
-    out, _ = forward(params, batch, activation)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != out.shape:
-        raise ShapeMismatch(f"targets have shape {t.shape}, expected {out.shape}")
-    diff = out - t
-    return float(np.sum(diff * diff))
-
-
-def backprop(
-    params: NetworkParameters,
-    batch: np.ndarray,
-    targets: np.ndarray,
-    activation: Activation | str = Activation.SIGMOID,
-) -> FlatParameters:
-    """Exact gradient of kernel_loss w.r.t. every weight and bias."""
-    out, activations = forward(params, batch, activation)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != out.shape:
-        raise ShapeMismatch(f"targets have shape {t.shape}, expected {out.shape}")
-    return backprop_output_grad(params, activations, 2.0 * (out - t), activation)
 
 
 def backprop_output_grad(

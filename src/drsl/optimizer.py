@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import (
+    Activation,
     DesignMatrix,
     FitConfig,
     NetworkParameters,
@@ -87,14 +88,6 @@ def regularizer(b, alpha: float) -> float:
     return float(np.sum(alpha * np.abs(arr) + 10.0 * alpha * arr * arr))
 
 
-def regularizer_grad(b, alpha: float) -> np.ndarray:
-    """alpha*sign(B) + 20*alpha*B, with sign(0) = 0 (minimal subgradient)."""
-    if not 1.0 <= alpha < np.inf:
-        raise DrslError(f"alpha must be >= 1 and finite, got {alpha}")
-    arr = _signature_array(b)
-    return alpha * np.sign(arr) + 20.0 * alpha * arr
-
-
 def _check_batch_shapes(b: np.ndarray, design_rows: np.ndarray, f_outputs: np.ndarray):
     if design_rows.ndim != 2 or f_outputs.ndim != 2:
         raise ShapeMismatch("design_rows and f_outputs must be 2-D")
@@ -112,42 +105,19 @@ def _check_batch_shapes(b: np.ndarray, design_rows: np.ndarray, f_outputs: np.nd
         )
 
 
-def grad_b(
-    b,
-    design_rows: np.ndarray,
-    f_outputs: np.ndarray,
-    alpha: float,
-    regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
-) -> np.ndarray:
-    """Gradient of :func:`objective` with respect to B.
-
-    alpha*sign(B) + 20*alpha*B - 2 sum_i d_i^T (f(x_i) - d_i B); the
-    regularizer term appears once, not once per sample.
-    """
-    arr = _signature_array(b)
-    d = np.asarray(design_rows, dtype=np.float64)
-    f = np.asarray(f_outputs, dtype=np.float64)
-    _check_batch_shapes(arr, d, f)
-    data_term = -2.0 * d.T @ (f - d @ arr)
-    if RegularizerMode(regularizer_mode) is RegularizerMode.DISABLED:
-        return data_term
-    return regularizer_grad(arr, alpha) + data_term
-
-
 def objective(
     b,
     design_rows: np.ndarray,
     f_outputs: np.ndarray,
     alpha: float,
     regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
-    data_weight: float = 1.0,
 ) -> float:
-    """w * sum_i ||f(x_i) - d_i B||^2 plus the regularizer (w = ``data_weight``)."""
+    """sum_i ||f(x_i) - d_i B||^2 plus the regularizer."""
     arr = _signature_array(b)
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
-    data = _data_term(f, d @ arr, data_weight)
+    data = _data_term(f, d @ arr, 1.0)
     if RegularizerMode(regularizer_mode) is RegularizerMode.DISABLED:
         return data
     return data + regularizer(arr, alpha)
@@ -205,6 +175,18 @@ def signature_step(
     _check_batch_shapes(arr, d, f)
     l1 = alpha if RegularizerMode(regularizer_mode) is RegularizerMode.ENABLED else 0.0
     return _elastic_net(d.T @ d, d.T @ f, arr, l1, 10.0 * l1, B_SOLVE_ITERATIONS)
+
+
+def _kkt_violation(b, d, f, alpha: float) -> float:
+    """Largest violation of the optimality conditions of ||F - D B||^2 +
+    alpha |B| + 10 alpha ||B||^2 at ``b``, relative to max(1, max|2 D^T F|):
+    0 lies in the smooth gradient plus alpha times the subdifferential of |B|."""
+    smooth = -2.0 * d.T @ (f - d @ b) + 20.0 * alpha * b
+    nz = b != 0
+    on = np.abs(smooth[nz] + alpha * np.sign(b[nz]))
+    off = np.abs(smooth[~nz]) - alpha
+    worst = max(float(np.max(on, initial=0.0)), float(np.max(off, initial=0.0)))
+    return worst / max(1.0, float(np.max(np.abs(2.0 * d.T @ f))))
 
 
 def sample_batch(rng: np.random.Generator, t: int, n: int) -> np.ndarray:
@@ -386,21 +368,43 @@ def _train(
     losses = np.empty(config.m2)
     for k in range(config.m2):
         idx = sample_batch(rng, t, config.batch_size)
-        xb, db = x[idx], d[idx]
-        z, activations = forward(theta, xb, config.activation)
-        fb, scale = standardize_outputs(z)
-        # objective() of the batch, with db @ b formed once for loss and gradient
-        targets = db @ b
-        losses[k] = _data_term(fb, targets, weight) + penalty
+        losses[k] = _batch_gradient(
+            theta, x[idx], d[idx], b, config.activation, weight, grads
+        ) + penalty
         if not np.isfinite(losses[k]):
             raise NonFinite(
                 f"subject {data.subject_id!r} diverged at {where}, step {k}: batch "
                 f"loss {losses[k]!r} (try a smaller eta)"
             )
-        grad_out = standardize_backward(2.0 * (fb - targets.astype(TRAIN_DTYPE)), fb, scale)
-        backprop_output_grad(theta, activations, grad_out, config.activation, out=grads)
         adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
     return theta.freeze(), losses
+
+
+def _batch_gradient(
+    theta: FlatParameters,
+    xb: np.ndarray,
+    db: np.ndarray,
+    b: np.ndarray,
+    activation: Activation | str,
+    weight: float,
+    out: FlatParameters,
+) -> float:
+    """The batch data term of one kernel step and its gradient in theta.
+
+    Maps ``xb``, standardizes the outputs f and returns ``weight`` *
+    ||f - db B||^2, summed in float64; writes the gradient of the
+    unweighted term ||f - db B||^2 into ``out``. The kernel computes in
+    the dtype of ``theta``, and the targets db B are formed in float64
+    once for loss and gradient. Every training step takes this path, and
+    ``drsl gradcheck`` checks it.
+    """
+    z, activations = forward(theta, xb, activation)
+    fb, scale = standardize_outputs(z)
+    targets = db @ b
+    loss = _data_term(fb, targets, weight)
+    grad_out = standardize_backward(2.0 * (fb - targets.astype(fb.dtype)), fb, scale)
+    backprop_output_grad(theta, activations, grad_out, activation, out=out)
+    return loss
 
 
 def fit_subject(

@@ -18,7 +18,6 @@ from drsl.evaluation import (
     pearson_corr,
     pooled_residual_scale,
     predict,
-    residual_scale,
 )
 from drsl.optimizer import fit_kernel_params
 from drsl.synth import SynthSpec, generate_dataset
@@ -155,7 +154,7 @@ class TestResidualScale:
         rng = np.random.default_rng(7)
         d = rng.standard_normal((10, 3))
         b = rng.standard_normal((3, 4))
-        np.testing.assert_array_equal(residual_scale(d @ b, d, b), 1e-8)
+        np.testing.assert_array_equal(pooled_residual_scale([d @ b], [d], b), 1e-8)
 
     def test_unit_residuals(self):
         d = np.zeros((4, 2))
@@ -163,7 +162,7 @@ class TestResidualScale:
         x = np.array(
             [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
         )
-        np.testing.assert_allclose(residual_scale(x, d, b), 1.0)
+        np.testing.assert_allclose(pooled_residual_scale([x], [d], b), 1.0)
 
     def test_matches_column_oracle(self):
         rng = np.random.default_rng(8)
@@ -175,7 +174,7 @@ class TestResidualScale:
             max(np.sqrt(np.mean([resid[i, j] ** 2 for i in range(12)])), 1e-8)
             for j in range(5)
         ]
-        np.testing.assert_allclose(residual_scale(x, d, b), oracle, atol=1e-10)
+        np.testing.assert_allclose(pooled_residual_scale([x], [d], b), oracle, atol=1e-10)
 
     def test_pooled_scale_rejects_inconsistent_shapes(self):
         rng = np.random.default_rng(10)

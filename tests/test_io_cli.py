@@ -374,6 +374,24 @@ class TestCli:
     def test_gradcheck_passes(self):
         assert run(["gradcheck", "--seed", "1"]) == 0
 
+    def test_gradcheck_fails_on_a_wrong_standardization_gradient(self, monkeypatch):
+        import drsl.optimizer as opt
+
+        def without_the_scale_term(grad_y, y, scale):
+            # standardize_backward less its y * mean(g * y) term
+            g = np.asarray(grad_y)
+            return (g - g.mean(axis=0)) / scale
+
+        monkeypatch.setattr(opt, "standardize_backward", without_the_scale_term)
+        assert run(["gradcheck", "--seed", "1"]) == 1
+
+    def test_gradcheck_fails_on_an_inexact_b_solve(self, monkeypatch):
+        import drsl.cli as cli
+
+        solve = cli.signature_step
+        monkeypatch.setattr(cli, "signature_step", lambda *args: 1.01 * solve(*args))
+        assert run(["gradcheck", "--seed", "1"]) == 1
+
     def test_eval_recomputes_fit_numbers(self, tmp_path, capsys):
         data_dir = str(tmp_path / "d")
         run(["synth", "--subjects", "3", "--scans", "120", "--voxels", "12",

@@ -7,16 +7,29 @@ from drsl.data_model import NetworkParameters
 from drsl.errors import ShapeMismatch
 from drsl.kernel_net import (
     FlatParameters,
-    backprop,
     backprop_output_grad,
     default_layer_sizes,
     fold_output_standardization,
     forward,
     init_params,
-    kernel_loss,
     standardize_backward,
     standardize_outputs,
 )
+from drsl.optimizer import _batch_gradient, _data_term
+
+
+def squared_error(params, x, t, activation="sigmoid"):
+    """Squared output error summed over the batch: training's data term
+    without the standardization."""
+    out, _ = forward(params, x, activation)
+    return _data_term(out, t, 1.0)
+
+
+def squared_error_grad(params, x, t, activation="sigmoid"):
+    """The gradient of :func:`squared_error`: its output gradient through
+    backprop_output_grad."""
+    out, activations = forward(params, x, activation)
+    return backprop_output_grad(params, activations, 2.0 * (out - t), activation)
 
 
 def sigmoid(z):
@@ -33,11 +46,11 @@ def finite_difference_grads(params, x, t, activation, h=1e-5):
             for pos in np.ndindex(shape):
                 layers = [(w.copy(), b.copy()) for w, b in params.layers]
                 layers[li][arr_idx][pos] += h
-                plus = kernel_loss(
+                plus = squared_error(
                     NetworkParameters(tuple(layers), params.layer_sizes), x, t, activation
                 )
                 layers[li][arr_idx][pos] -= 2 * h
-                minus = kernel_loss(
+                minus = squared_error(
                     NetworkParameters(tuple(layers), params.layer_sizes), x, t, activation
                 )
                 g[pos] = (plus - minus) / (2 * h)
@@ -168,13 +181,13 @@ class TestKernelLoss:
         params = init_params((3, 4, 4, 2), "scaled_normal", seed=1)
         x = np.random.default_rng(2).standard_normal((5, 3))
         out, _ = forward(params, x)
-        assert kernel_loss(params, x, out) == 0.0
+        assert squared_error(params, x, out) == 0.0
 
     def test_zero_net_all_one_targets(self):
         sizes = (3, 2, 3)
         layers = ((np.zeros((2, 3)), np.zeros(2)), (np.zeros((3, 2)), np.zeros(3)))
         params = NetworkParameters(layers, sizes)
-        assert kernel_loss(params, np.zeros((2, 3)), np.ones((2, 3))) == 6.0
+        assert squared_error(params, np.zeros((2, 3)), np.ones((2, 3))) == 6.0
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(9)
@@ -185,14 +198,14 @@ class TestKernelLoss:
         oracle = sum(
             (out[i, j] - t[i, j]) ** 2 for i in range(6) for j in range(3)
         )
-        assert kernel_loss(params, x, t) == pytest.approx(oracle, abs=1e-10)
+        assert squared_error(params, x, t) == pytest.approx(oracle, abs=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         params = init_params((4, 5, 4, 3), "scaled_normal", seed=3)
         x = rng.standard_normal((6, 4))
         t = rng.standard_normal((6, 3))
-        assert kernel_loss(params, x, t) >= 0.0
+        assert squared_error(params, x, t) >= 0.0
 
 
 class TestBackprop:
@@ -200,7 +213,7 @@ class TestBackprop:
         params = init_params((3, 4, 4, 2), "scaled_normal", seed=1)
         x = np.random.default_rng(2).standard_normal((5, 3))
         out, _ = forward(params, x)
-        grads = backprop(params, x, out)
+        grads = squared_error_grad(params, x, out)
         for gw, gb in grads.layers:
             np.testing.assert_allclose(gw, 0.0, atol=1e-12)
             np.testing.assert_allclose(gb, 0.0, atol=1e-12)
@@ -225,7 +238,7 @@ class TestBackprop:
             "w2": resid * w3 * h2 * (1 - h2) * x_val,
             "a2": resid * w3 * h2 * (1 - h2),
         }
-        grads = backprop(params, x, t, "sigmoid")
+        grads = squared_error_grad(params, x, t, "sigmoid")
         assert grads.layers[1][0][0, 0] == pytest.approx(float(expected["w3"]), rel=1e-12)
         assert grads.layers[1][1][0] == pytest.approx(float(expected["a3"]), rel=1e-12)
         assert grads.layers[0][0][0, 0] == pytest.approx(float(expected["w2"]), rel=1e-12)
@@ -237,7 +250,7 @@ class TestBackprop:
         params = init_params((4, 5, 4, 3), "scaled_normal", seed=11)
         x = rng.standard_normal((6, 4))
         t = rng.standard_normal((6, 3))
-        analytic = backprop(params, x, t, activation)
+        analytic = squared_error_grad(params, x, t, activation)
         numeric = finite_difference_grads(params, x, t, activation)
         for (aw, ab), (nw, nb) in zip(analytic.layers, numeric):
             rel_w = np.abs(aw - nw) / np.maximum(1.0, np.abs(nw))
@@ -250,8 +263,8 @@ class TestBackprop:
         params = init_params((3, 4, 4, 2), "scaled_normal", seed=8)
         x = rng.standard_normal((5, 3))
         t = rng.standard_normal((5, 2))
-        full = backprop(params, x, t)
-        per_sample = [backprop(params, x[i : i + 1], t[i : i + 1]) for i in range(5)]
+        full = squared_error_grad(params, x, t)
+        per_sample = [squared_error_grad(params, x[i : i + 1], t[i : i + 1]) for i in range(5)]
         for li in range(len(full.layers)):
             np.testing.assert_allclose(
                 full.layers[li][0],
@@ -407,9 +420,11 @@ class TestFloat32:
             np.testing.assert_allclose(gb, eb, rtol=0, atol=1e-5 * scale)
 
     def test_public_backprop_keeps_float64(self):
+        # backprop_output_grad without a buffer allocates one of the network's dtype
         params, _ = self.nets()
         rng = np.random.default_rng(1)
-        grads = backprop(params, rng.standard_normal((5, 30)), rng.standard_normal((5, 7)))
+        _, activations = forward(params, rng.standard_normal((5, 30)))
+        grads = backprop_output_grad(params, activations, rng.standard_normal((5, 7)))
         assert grads.flat.dtype == np.float64
 
 
@@ -500,16 +515,24 @@ class TestOutputStandardization:
                     assert abs(got - fd) / max(1.0, abs(fd)) < 1e-6
 
     def test_backprop_is_output_grad_of_squared_error(self):
+        # the training step: the standardized squared error's output gradient
+        # through backprop, unscaled by the loss weight, in theta's dtype
         rng = np.random.default_rng(3)
         params = init_params((4, 3, 2), "scaled_normal", seed=1)
         x = rng.standard_normal((6, 4))
-        t = rng.standard_normal((6, 2))
-        out, activations = forward(params, x, "tanh")
-        a = backprop(params, x, t, "tanh")
-        b = backprop_output_grad(params, activations, 2.0 * (out - t), "tanh")
-        for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
-            np.testing.assert_array_equal(wa, wb)
-            np.testing.assert_array_equal(ba, bb)
+        d, b = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
+        t = d @ b
+        for dtype in (np.float64, np.float32):
+            theta = FlatParameters.from_params(params, dtype)
+            got = FlatParameters(params.layer_sizes, dtype)
+            loss = _batch_gradient(theta, x.astype(dtype), d, b, "tanh", 2.5, got)
+            out, activations = forward(theta, x.astype(dtype), "tanh")
+            y, scale = standardize_outputs(out)
+            grad_y = standardize_backward(2.0 * (y - t.astype(dtype)), y, scale)
+            expected = backprop_output_grad(theta, activations, grad_y, "tanh")
+            assert got.flat.dtype == dtype
+            assert loss == 2.5 * float(np.sum((y - t) ** 2))
+            np.testing.assert_array_equal(got.flat, expected.flat)
 
     def test_fold_reproduces_reference_standardization(self):
         rng = np.random.default_rng(5)

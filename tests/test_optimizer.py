@@ -17,14 +17,14 @@ from drsl.optimizer import (
     ADAM_BLOCK,
     AdamState,
     SubjectFit,
+    _data_term,
+    _kkt_violation,
     adam_step,
     fit,
     fit_kernel_params,
     fit_subject,
-    grad_b,
     objective,
     regularizer,
-    regularizer_grad,
     sample_batch,
     seed_stream,
     signature_step,
@@ -45,7 +45,7 @@ class TestRegularizer:
         with pytest.raises(DrslError, match="alpha must be >= 1 and finite, got 0.9"):
             regularizer(np.ones((2, 2)), alpha=0.9)
 
-    @pytest.mark.parametrize("penalty", [regularizer, regularizer_grad])
+    @pytest.mark.parametrize("penalty", [regularizer])
     def test_nan_alpha_rejected(self, penalty):
         with pytest.raises(DrslError, match="alpha must be >= 1 and finite, got nan"):
             penalty(np.ones((2, 2)), alpha=float("nan"))
@@ -73,65 +73,6 @@ class TestRegularizer:
             bumped = b.copy()
             bumped[k, j] += np.sign(bumped[k, j]) * 0.1 if bumped[k, j] else 0.1
             assert regularizer(bumped, 10.0) > base
-
-
-class TestGradB:
-    def test_empty_batch_pure_regularizer(self):
-        g = grad_b(np.array([[1.0]]), np.zeros((0, 1)), np.zeros((0, 1)), alpha=10.0)
-        assert g[0, 0] == pytest.approx(210.0)
-
-    def test_single_sample_by_substitution(self):
-        g = grad_b(
-            np.array([[1.0]]), np.array([[1.0]]), np.array([[2.0]]), alpha=10.0
-        )
-        assert g[0, 0] == pytest.approx(208.0)
-
-    def test_sign_zero_is_zero(self):
-        g = grad_b(np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((0, 2)), alpha=10.0)
-        np.testing.assert_array_equal(g, 0.0)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            b = rng.standard_normal((3, 6))
-            d = rng.standard_normal((10, 3))
-            f = rng.standard_normal((10, 6))
-            analytic = grad_b(b, d, f, alpha=10.0)
-            h = 1e-6
-            for k in range(3):
-                for j in range(6):
-                    if abs(b[k, j]) <= 1e-3:
-                        continue
-                    bp, bm = b.copy(), b.copy()
-                    bp[k, j] += h
-                    bm[k, j] -= h
-                    fd = (objective(bp, d, f, 10.0) - objective(bm, d, f, 10.0)) / (2 * h)
-                    assert abs(analytic[k, j] - fd) / max(1.0, abs(fd)) < 1e-6
-
-    def test_disabled_regularizer_leaves_data_term(self):
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal((2, 3))
-        d = rng.standard_normal((5, 2))
-        f = rng.standard_normal((5, 3))
-        g = grad_b(b, d, f, alpha=10.0, regularizer_mode=RegularizerMode.DISABLED)
-        np.testing.assert_allclose(g, -2.0 * d.T @ (f - d @ b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            grad_b(np.zeros((2, 3)), np.zeros((5, 2)), np.zeros((5, 4)), alpha=10.0)
-
-
-def elastic_net_kkt_violation(b, d, f, alpha):
-    """Largest violation of the optimality conditions of
-    ||F - D B||^2 + alpha |B| + 10 alpha ||B||^2, relative to the data
-    gradient's scale: 0 lies in the smooth gradient plus alpha times the
-    subdifferential of |B|."""
-    smooth = -2.0 * d.T @ (f - d @ b) + 20.0 * alpha * b
-    nz = b != 0
-    on = np.abs(smooth[nz] + alpha * np.sign(b[nz]))
-    off = np.abs(smooth[~nz]) - alpha
-    worst = max(float(np.max(on, initial=0.0)), float(np.max(off, initial=-np.inf)))
-    return worst / max(1.0, float(np.max(np.abs(2.0 * d.T @ f))))
 
 
 class TestSignatureStep:
@@ -173,16 +114,14 @@ class TestSignatureStep:
             b, d, f = self.make(seed=seed)
             for alpha in (1.0, 3.0, 10.0):
                 got = signature_step(b, d, f, alpha)
-                assert elastic_net_kkt_violation(got, d, f, alpha) < 1e-9
+                assert _kkt_violation(got, d, f, alpha) < 1e-9
         # alpha = 10 on this run zeroes some entries and keeps others
         assert 0 < np.sum(got == 0) < got.size
 
     def test_weight_scales_the_data_term(self):
         b, d, f = self.make(seed=3)
         data = objective(b, d, f, 10.0, RegularizerMode.DISABLED)
-        assert objective(b, d, f, 10.0, data_weight=2.5) == pytest.approx(
-            2.5 * data + regularizer(b, 10.0)
-        )
+        assert _data_term(f, d @ b, 2.5) == pytest.approx(2.5 * data)
 
 
 class TestObjective:
@@ -465,7 +404,7 @@ class TestFitSubject:
             # the run's standardized kernel outputs, mapped here from the result
             f, _ = standardize_outputs(forward(out.params, data.responses)[0])
             b = out.signatures.values
-            assert elastic_net_kkt_violation(b, design.values, f, alpha) < 1e-9
+            assert _kkt_violation(b, design.values, f, alpha) < 1e-9
             # the B solve never ends above its warm start on the full run
             assert objective(b, design.values, f, alpha) <= objective(b0, design.values, f, alpha)
 
@@ -508,7 +447,8 @@ class TestFitSubject:
         assert len(batches) == len(outputs) == cfg.m2
         weight = data.n_scans / cfg.batch_size
         expected = [
-            objective(sig, design.values[idx], fb, cfg.alpha, cfg.regularizer, data_weight=weight)
+            weight * objective(sig, design.values[idx], fb, cfg.alpha, RegularizerMode.DISABLED)
+            + regularizer(sig, cfg.alpha)
             for idx, fb in zip(batches, outputs)
         ]
         np.testing.assert_allclose(out.loss_history, expected, rtol=1e-12)
