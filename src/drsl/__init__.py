@@ -43,7 +43,6 @@ from .evaluation import (
     predict,
 )
 from .kernel_net import (
-    FlatParameters,
     default_layer_sizes,
     forward,
     init_params,
@@ -71,7 +70,6 @@ __all__ = [
     "Event",
     "EventTable",
     "FitConfig",
-    "FlatParameters",
     "GroupFit",
     "InitScheme",
     "MethodFit",

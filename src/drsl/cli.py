@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .data_model import FitConfig, standardize_columns
+from .data_model import FitConfig, NetworkParameters, standardize_columns
 from .dataset_io import (
     ACCURACY_HEADER,
     CORRELATION_HEADER,
@@ -41,7 +41,7 @@ from .evaluation import (
     fit_method,
     group_mse,
 )
-from .kernel_net import FlatParameters, init_params
+from .kernel_net import init_params
 from .optimizer import TRAIN_DTYPE, _batch_gradient, _kkt_violation, signature_step
 from .synth import SynthSpec, generate_dataset
 
@@ -104,7 +104,7 @@ def _config_from_args(args, v_org: int | None) -> FitConfig:
 def _config_echo(args, method: str, dataset: str) -> dict:
     return {
         "method": method,
-        "dataset": dataset,
+        "dataset": os.path.abspath(dataset),
         "alpha": args.alpha,
         "eta": args.eta,
         "m1": args.m1,
@@ -309,9 +309,10 @@ def _cmd_gradcheck(args) -> int:
         d = rng.standard_normal((9, 2))
         b = rng.standard_normal((2, sizes[-1]))
         x64 = x.astype(np.float64)
-        theta, grads = FlatParameters.from_params(params), FlatParameters(sizes)
+        # theta, writable in float64, so that each entry can be nudged
+        theta, grads, scratch = (NetworkParameters(None, sizes) for _ in range(3))
+        theta.flat[:] = params.flat
         _batch_gradient(theta, x64, d, b, activation, 1.0, grads)
-        scratch = FlatParameters(sizes)
         for i, value in enumerate(theta.flat.copy()):
             theta.flat[i] = value + h
             plus = _batch_gradient(theta, x64, d, b, activation, 1.0, scratch)
@@ -320,9 +321,8 @@ def _cmd_gradcheck(args) -> int:
             theta.flat[i] = value
             fd = (plus - minus) / (2 * h)
             worst_fd = max(worst_fd, abs(grads.flat[i] - fd) / max(1.0, abs(fd)))
-        grads32 = FlatParameters(sizes, TRAIN_DTYPE)
-        _batch_gradient(FlatParameters.from_params(params, TRAIN_DTYPE), x, d, b,
-                        activation, 1.0, grads32)
+        grads32 = NetworkParameters(None, sizes, TRAIN_DTYPE)
+        _batch_gradient(params.astype(TRAIN_DTYPE), x, d, b, activation, 1.0, grads32)
         err = np.max(np.abs(grads32.flat - grads.flat)) / np.max(np.abs(grads.flat))
         worst_f32 = max(worst_f32, float(err))
     worst_b = 0.0

@@ -1,10 +1,11 @@
 """Core typed containers, shape validation, and column standardization.
 
-Every container holds 64-bit floats: the finite-difference gradient checks
-used throughout the test suite need ~1e-6 relative precision, which float32
-cannot deliver. Only the kernel's training buffers inside
-:mod:`drsl.optimizer` are float32. Containers are frozen dataclasses
-holding read-only arrays, so instances are safe to share across threads.
+Containers hold read-only 64-bit float arrays: the finite-difference
+gradient checks used throughout the test suite need ~1e-6 relative
+precision, which float32 cannot deliver. The one exception is
+:class:`NetworkParameters`, which also serves as the kernel's writable
+float32 training buffers inside :mod:`drsl.optimizer`; a fitted network
+is read-only float64 like the rest.
 """
 
 from __future__ import annotations
@@ -22,15 +23,6 @@ def as_matrix(values, name: str = "values") -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-def as_vector(values, name: str = "values") -> np.ndarray:
-    """Copy input to a read-only 1-D float64 array."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"{name} must be 1-D, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -140,41 +132,59 @@ class SignatureMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
 class NetworkParameters:
-    """Per-layer weights and biases of the kernel MLP.
+    """Per-layer weights and biases of the kernel MLP, in one contiguous vector.
 
     ``layer_sizes`` is ``[V_org, U_2, ..., U_{C-1}, V]``; layer m has weight
     shape ``U_m x U_{m-1}`` and bias length ``U_m``. At least one hidden
-    layer is required (C >= 3).
+    layer is required (C >= 3). ``flat`` holds every parameter and
+    ``layers`` a (w, b) view per layer into it, so an optimizer can update
+    the whole network with vector operations.
+
+    Built from ``layers`` in float64, the vector is a read-only copy: a
+    fitted network, which several results may share. In any other dtype, or
+    from ``layers=None`` (all zeros), it is writable: training keeps theta
+    and its gradient in :data:`drsl.optimizer.TRAIN_DTYPE` ones.
     """
 
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    layer_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+    def __init__(self, layers, layer_sizes, dtype=np.float64):
+        sizes = tuple(int(s) for s in layer_sizes)
         validate_layer_sizes(sizes)
-        if len(self.layers) != len(sizes) - 1:
-            raise ShapeMismatch(
-                f"{len(self.layers)} layers for {len(sizes)} layer sizes"
-            )
-        frozen = []
-        for m, (w, b) in enumerate(self.layers):
-            w = as_matrix(w, f"weight {m + 2}")
-            b = as_vector(b, f"bias {m + 2}")
-            if w.shape != (sizes[m + 1], sizes[m]):
+        self.layer_sizes = sizes
+        self.flat = np.zeros(
+            sum(u * (v + 1) for v, u in zip(sizes[:-1], sizes[1:])), dtype=dtype
+        )
+        views, start = [], 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = self.flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in)
+            start += fan_out * fan_in
+            views.append((w, self.flat[start : start + fan_out]))
+            start += fan_out
+        self.layers = tuple(views)
+        if layers is None:
+            return
+        if len(layers) != len(views):
+            raise ShapeMismatch(f"{len(layers)} layers for {len(sizes)} layer sizes")
+        for m, ((w, b), (vw, vb)) in enumerate(zip(layers, views)):
+            w, b = np.asarray(w), np.asarray(b)
+            if w.shape != vw.shape:
                 raise ShapeMismatch(
-                    f"weight {m + 2} has shape {w.shape}, expected "
-                    f"{(sizes[m + 1], sizes[m])}"
+                    f"weight {m + 2} has shape {w.shape}, expected {vw.shape}"
                 )
-            if b.shape != (sizes[m + 1],):
+            if b.shape != vb.shape:
                 raise ShapeMismatch(
-                    f"bias {m + 2} has length {b.shape[0]}, expected {sizes[m + 1]}"
+                    f"bias {m + 2} has shape {b.shape}, expected {vb.shape}"
                 )
-            frozen.append((w, b))
-        object.__setattr__(self, "layers", tuple(frozen))
-        object.__setattr__(self, "layer_sizes", sizes)
+            vw[...] = w
+            vb[...] = b
+        if self.flat.dtype == np.float64:
+            for a in (self.flat, *(a for layer in views for a in layer)):
+                a.setflags(write=False)
+
+    def astype(self, dtype) -> NetworkParameters:
+        """A copy in ``dtype``, read-only in float64 and writable otherwise;
+        writing to either network leaves the other as it was."""
+        return NetworkParameters(self.layers, self.layer_sizes, dtype)
 
     @property
     def input_dim(self) -> int:
@@ -202,8 +212,8 @@ class FitConfig:
     """Hyperparameters of the training loops.
 
     Defaults: alpha=10, eta=1e-3, 10 outer by 100 inner iterations, batch
-    size 50, Adam constants (0.9, 0.999, 1e-8). ``layer_sizes=None``
-    derives the architecture from the voxel count at fit time.
+    size 50. ``layer_sizes=None`` derives the architecture from the voxel
+    count at fit time. Adam's constants are fixed in :mod:`drsl.optimizer`.
     """
 
     alpha: float = 10.0
@@ -211,9 +221,6 @@ class FitConfig:
     m1: int = 10
     m2: int = 100
     batch_size: int = 50
-    mu1: float = 0.9
-    mu2: float = 0.999
-    epsilon: float = 1e-8
     layer_sizes: tuple[int, ...] | None = None
     activation: Activation = Activation.SIGMOID
     init: InitScheme = InitScheme.SCALED_NORMAL
@@ -233,10 +240,6 @@ class FitConfig:
             raise DrslError(f"iteration counts must be >= 0, got m1={self.m1} m2={self.m2}")
         if not self.batch_size >= 1:
             raise DrslError(f"batch size must be >= 1, got {self.batch_size}")
-        if not (0.0 < self.mu1 < 1.0 and 0.0 < self.mu2 < 1.0):
-            raise DrslError(f"Adam moments must lie in (0, 1), got {self.mu1}, {self.mu2}")
-        if not self.epsilon > 0.0:
-            raise DrslError(f"Adam epsilon must be > 0, got {self.epsilon}")
         if not self.seed >= 0:
             raise DrslError(f"seed must be non-negative, got {self.seed}")
         if self.layer_sizes is not None:

@@ -13,9 +13,9 @@ output layer once a run's statistics are known
 (:func:`fold_output_standardization`).
 
 :func:`forward`, the standardization and :func:`backprop_output_grad`
-compute in the dtype of the buffers they are given, float32 or float64.
-Training passes float32 flat buffers and batches; a
-:class:`NetworkParameters` is float64 and maps in float64.
+compute in the dtype of the :class:`NetworkParameters` they are given,
+float32 or float64: training passes float32 ones and batches, and a
+fitted network is float64 and maps in float64.
 
 A forward pass records only its activations h_1..h_C, the batch first and
 the output last; each hidden activation is applied in place to its layer's
@@ -31,56 +31,6 @@ from .data_model import Activation, InitScheme, NetworkParameters, validate_laye
 from .errors import ShapeMismatch
 
 _STANDARDIZE_EPS = 1e-8
-
-
-class FlatParameters:
-    """One network's weights and biases in one contiguous vector.
-
-    ``layers`` holds a writable (w, b) view per layer into ``flat``, shaped
-    as in :class:`NetworkParameters`, so :func:`forward` and
-    :func:`backprop_output_grad` take it in place of one, and an optimizer
-    can update every parameter of the network with whole-vector operations.
-    The vector is float64 unless ``dtype`` says otherwise; training keeps
-    theta, its gradient and the Adam moments in float32 ones.
-    :meth:`freeze` copies theta out as read-only float64
-    ``NetworkParameters``.
-    """
-
-    def __init__(self, layer_sizes, dtype=np.float64):
-        sizes = tuple(int(s) for s in layer_sizes)
-        validate_layer_sizes(sizes)
-        self.layer_sizes = sizes
-        self.flat = np.zeros(
-            sum(u * (v + 1) for v, u in zip(sizes[:-1], sizes[1:])), dtype=dtype
-        )
-        layers, start = [], 0
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = self.flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in)
-            start += fan_out * fan_in
-            layers.append((w, self.flat[start : start + fan_out]))
-            start += fan_out
-        self.layers = tuple(layers)
-
-    @classmethod
-    def from_params(cls, params: NetworkParameters, dtype=np.float64) -> FlatParameters:
-        """A flat copy of ``params``; writing to it leaves ``params`` as it was."""
-        flat = cls(params.layer_sizes, dtype)
-        for (w, b), (fw, fb) in zip(params.layers, flat.layers):
-            fw[...] = w
-            fb[...] = b
-        return flat
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layer_sizes[-1]
-
-    def freeze(self) -> NetworkParameters:
-        """Read-only copy; later writes to this buffer do not reach it."""
-        return NetworkParameters(layers=self.layers, layer_sizes=self.layer_sizes)
 
 
 def default_layer_sizes(v_org: int) -> tuple[int, ...]:
@@ -153,7 +103,7 @@ def _activation_derivative(h: np.ndarray, activation: Activation) -> np.ndarray:
 
 
 def forward(
-    params: NetworkParameters | FlatParameters,
+    params: NetworkParameters,
     batch: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -220,24 +170,24 @@ def fold_output_standardization(
 
 
 def backprop_output_grad(
-    params: NetworkParameters | FlatParameters,
+    params: NetworkParameters,
     activations: tuple[np.ndarray, ...],
     grad_output: np.ndarray,
     activation: Activation | str = Activation.SIGMOID,
-    out: FlatParameters | None = None,
-) -> FlatParameters:
+    out: NetworkParameters | None = None,
+) -> NetworkParameters:
     """Chain a given dL/d(output) back through ``params``.
 
     ``activations`` is the record :func:`forward` returned for the same
     network: h_m feeds layer m's weight gradient, and the derivative of
     each hidden activation comes from h alone. The gradients are written
-    into ``out`` (a fresh buffer of the output's dtype when None), which is
-    returned and sets the dtype of the chain; ``out`` must not be
-    ``params`` itself.
+    into ``out``, a writable network (a fresh zero one of the output's
+    dtype when None), which is returned and sets the dtype of the chain;
+    ``out`` must not be ``params`` itself.
     """
     activation = Activation(activation)
     if out is None:
-        out = FlatParameters(params.layer_sizes, activations[-1].dtype)
+        out = NetworkParameters(None, params.layer_sizes, activations[-1].dtype)
     elif out.layer_sizes != params.layer_sizes:
         raise ShapeMismatch(
             f"gradient buffer has layer sizes {out.layer_sizes}, "

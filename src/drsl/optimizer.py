@@ -9,11 +9,13 @@ R(B). Kernel outputs are standardized per batch (see
 is mapped once and B is solved exactly (:func:`signature_step`): the
 objective is a convex elastic net in B once theta is fixed.
 
-The kernel trains in :data:`TRAIN_DTYPE` (float32): theta, its gradient,
-the Adam moments and the gathered batches. B, the design, the objective,
-the B solve, the returned read-only ``NetworkParameters`` and the mapped
-run stay float64; float32 theta widens to float64 exactly, so carrying it
-across outer iterations loses nothing.
+The kernel trains in :data:`TRAIN_DTYPE` (float32): theta and its
+gradient (writable ``NetworkParameters``), the Adam moments and the
+gathered batches. B, the design, the objective, the B solve, the returned
+read-only float64 ``NetworkParameters`` and the mapped run stay float64;
+float32 theta widens to float64 exactly, so carrying it across outer
+iterations loses nothing. Adam's constants are those of Kingma & Ba
+(2015): :data:`ADAM_MU1`, :data:`ADAM_MU2` and :data:`ADAM_EPSILON`.
 
 Held-out adaptation (:func:`fit_kernel_params`) is the same kernel loop
 without the B solve. The outer loop re-fits every subject from the current
@@ -44,7 +46,6 @@ from .data_model import (
 )
 from .errors import DrslError, NonFinite, ShapeMismatch
 from .kernel_net import (
-    FlatParameters,
     backprop_output_grad,
     default_layer_sizes,
     forward,
@@ -65,6 +66,11 @@ B_SOLVE_ITERATIONS = 500
 
 # the dtype the kernel trains in; see the module docstring for what stays float64
 TRAIN_DTYPE = np.float32
+
+# Adam's moment decays and denominator guard, as Kingma & Ba (2015) set them
+ADAM_MU1 = 0.9
+ADAM_MU2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def seed_stream(seed: int, *key: int) -> np.random.Generator:
@@ -205,25 +211,24 @@ ADAM_BLOCK = 16_384
 
 
 class AdamState:
-    """Adam's moment accumulators, flat and congruent with theta.
+    """Adam's moment accumulators for ``theta``: flat vectors of its size and dtype.
 
     ``delta`` (first moment) and ``gamma`` (second moment) start at zero
     and :func:`adam_step` updates them in place; ``step_count`` counts the
-    steps taken. They are float64 unless ``dtype`` says otherwise, and must
-    match the dtype of the theta they update.
+    steps taken.
     """
 
-    def __init__(self, layer_sizes, dtype=np.float64):
-        self.delta = FlatParameters(layer_sizes, dtype)
-        self.gamma = FlatParameters(layer_sizes, dtype)
+    def __init__(self, theta: NetworkParameters):
+        self.delta = np.zeros_like(theta.flat)
+        self.gamma = np.zeros_like(theta.flat)
         self.step_count = 0
-        self._scratch = np.empty((2, min(ADAM_BLOCK, self.delta.flat.size)), dtype=dtype)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, self.delta.size)), dtype=self.delta.dtype)
 
 
 def adam_step(
     state: AdamState,
-    grads: FlatParameters,
-    params: FlatParameters,
+    grads: NetworkParameters,
+    params: NetworkParameters,
     eta: float,
     mu1: float,
     mu2: float,
@@ -238,16 +243,14 @@ def adam_step(
     reused scratch arrays, so a step allocates nothing, and computed in
     their dtype.
     """
-    sizes = params.layer_sizes
-    if grads.layer_sizes != sizes or state.delta.layer_sizes != sizes:
+    theta, g, delta, gamma = params.flat, grads.flat, state.delta, state.gamma
+    if grads.layer_sizes != params.layer_sizes or delta.shape != theta.shape:
         raise ShapeMismatch("Adam state, gradients, and parameters disagree in shape")
-    if not params.flat.dtype == grads.flat.dtype == state.delta.flat.dtype:
+    if not theta.dtype == g.dtype == delta.dtype:
         raise ShapeMismatch("Adam state, gradients, and parameters disagree in dtype")
     k = state.step_count + 1
     c1 = 1.0 - mu1**k
     c2 = 1.0 - mu2**k
-    theta, g = params.flat, grads.flat
-    delta, gamma = state.delta.flat, state.gamma.flat
     for lo in range(0, theta.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, theta.size)
         gk, dk, ck, tk = g[lo:hi], delta[lo:hi], gamma[lo:hi], theta[lo:hi]
@@ -331,9 +334,9 @@ def _train(
     Per iteration: draw a batch, log the batch objective with its data term
     weighted by T / n, then take an Adam step on theta against the targets
     d_i B. Theta starts from a copy of ``initial_params`` when given,
-    otherwise from a fresh draw, and trains in :data:`TRAIN_DTYPE` flat
-    buffers that no caller sees, on batches gathered from X cast once.
-    Returns theta, read-only float64, and the loss history. A non-finite
+    otherwise from a fresh draw, and trains in :data:`TRAIN_DTYPE` buffers
+    that no caller sees, on batches gathered from X cast once. Returns
+    theta, read-only float64, and the loss history. A non-finite
     loss raises :class:`NonFinite` naming the subject, ``where`` and the
     step.
     """
@@ -349,17 +352,15 @@ def _train(
             f"B has {b.shape[0]} rows but design has {d.shape[1]} conditions"
         )
     sizes = _resolve_sizes(config, x.shape[1])
-    theta = FlatParameters.from_params(
-        initial_params if initial_params is not None
-        else init_params(sizes, config.init, rng=rng),
-        TRAIN_DTYPE,
-    )
+    # a fresh float64 draw is dropped as soon as theta holds its float32 copy
+    theta = (initial_params if initial_params is not None
+             else init_params(sizes, config.init, rng=rng)).astype(TRAIN_DTYPE)
     if b.shape[1] != theta.output_dim:
         raise ShapeMismatch(
             f"B has {b.shape[1]} columns but the kernel outputs {theta.output_dim}"
         )
-    grads = FlatParameters(theta.layer_sizes, TRAIN_DTYPE)
-    state = AdamState(theta.layer_sizes, TRAIN_DTYPE)
+    grads = NetworkParameters(None, theta.layer_sizes, TRAIN_DTYPE)
+    state = AdamState(theta)
 
     weight = t / config.batch_size
     # B is frozen, so its penalty is one number per fit
@@ -376,18 +377,18 @@ def _train(
                 f"subject {data.subject_id!r} diverged at {where}, step {k}: batch "
                 f"loss {losses[k]!r} (try a smaller eta)"
             )
-        adam_step(state, grads, theta, config.eta, config.mu1, config.mu2, config.epsilon)
-    return theta.freeze(), losses
+        adam_step(state, grads, theta, config.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
+    return theta.astype(np.float64), losses
 
 
 def _batch_gradient(
-    theta: FlatParameters,
+    theta: NetworkParameters,
     xb: np.ndarray,
     db: np.ndarray,
     b: np.ndarray,
     activation: Activation | str,
     weight: float,
-    out: FlatParameters,
+    out: NetworkParameters,
 ) -> float:
     """The batch data term of one kernel step and its gradient in theta.
 

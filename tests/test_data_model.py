@@ -127,7 +127,6 @@ class TestFitConfig:
         assert cfg.eta == 1e-3
         assert (cfg.m1, cfg.m2) == (10, 100)
         assert cfg.batch_size == 50
-        assert (cfg.mu1, cfg.mu2, cfg.epsilon) == (0.9, 0.999, 1e-8)
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(DrslError, match="alpha must be >= 1"):
@@ -139,17 +138,15 @@ class TestFitConfig:
 
     @pytest.mark.parametrize(
         "field,match",
-        [("alpha", "alpha must be >= 1"), ("eta", "eta must be > 0"),
-         ("epsilon", "epsilon must be > 0")],
+        [("alpha", "alpha must be >= 1"), ("eta", "eta must be > 0")],
     )
     def test_nan_setting_rejected(self, field, match):
         with pytest.raises(DrslError, match=match):
             FitConfig(**{field: float("nan")})
 
-    @pytest.mark.parametrize("kw", [{"mu1": 1.0}, {"mu2": 0.0}, {"epsilon": 0.0}, {"batch_size": 0}])
-    def test_bad_adam_settings_rejected(self, kw):
-        with pytest.raises(DrslError):
-            FitConfig(**kw)
+    def test_nonpositive_batch_size_rejected(self):
+        with pytest.raises(DrslError, match="batch size must be >= 1"):
+            FitConfig(batch_size=0)
 
     def test_string_enums_coerced(self):
         cfg = FitConfig(activation="tanh", init="paper_normal", regularizer="off")

@@ -392,18 +392,41 @@ class TestCli:
         monkeypatch.setattr(cli, "signature_step", lambda *args: 1.01 * solve(*args))
         assert run(["gradcheck", "--seed", "1"]) == 1
 
-    def test_eval_recomputes_fit_numbers(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "method",
+        [["lasso"],
+         # eval reads what the frozen kernels mapped from sub-*_mapped.tsv
+         ["drsl", "--alpha", "1", "--m1", "1", "--m2", "5", "--batch", "20",
+          "--layers", "8,6,4"]],
+        ids=["lasso", "drsl"],
+    )
+    def test_eval_recomputes_fit_numbers(self, tmp_path, capsys, method):
         data_dir = str(tmp_path / "d")
         run(["synth", "--subjects", "3", "--scans", "120", "--voxels", "12",
              "--conditions", "3", "--seed", "3", "--out", data_dir])
         fit_out = str(tmp_path / "fit")
-        assert run(["fit", "--dataset", data_dir, "--method", "lasso", "--out", fit_out]) == 0
+        assert run(["fit", "--dataset", data_dir, "--method", *method, "--out", fit_out]) == 0
+        mapped = [name for name in os.listdir(fit_out) if name.endswith("_mapped.tsv")]
+        assert len(mapped) == (3 if method[0] == "drsl" else 0)
         corr_before = open(os.path.join(fit_out, "correlation.csv")).read()
         mse_before = open(os.path.join(fit_out, "mse.csv")).read()
         eval_out = str(tmp_path / "eval")
         assert run(["eval", "--fit-output", fit_out, "--out", eval_out]) == 0
         assert open(os.path.join(eval_out, "correlation.csv")).read() == corr_before
         assert open(os.path.join(eval_out, "mse.csv")).read() == mse_before
+
+    def test_eval_runs_from_another_directory(self, tmp_path, monkeypatch):
+        # run.json records the dataset as an absolute path, not as typed
+        monkeypatch.chdir(tmp_path)
+        run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
+             "--conditions", "3", "--seed", "2", "--out", "d"])
+        assert run(["fit", "--dataset", "d", "--method", "glm", "--out", "fit"]) == 0
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run(["eval", "--fit-output", str(tmp_path / "fit"), "--out", "eval"]) == 0
+        for table in ("correlation.csv", "mse.csv"):
+            assert (tmp_path / "elsewhere" / "eval" / table).read_text() == (
+                tmp_path / "fit" / table).read_text()
 
     @pytest.mark.parametrize(
         "corrupt, where",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from drsl.data_model import NetworkParameters
 from drsl.errors import ShapeMismatch
 from drsl.kernel_net import (
-    FlatParameters,
     backprop_output_grad,
     default_layer_sizes,
     fold_output_standardization,
@@ -153,7 +152,7 @@ class TestForward:
         params = init_params((6, 5, 4, 3), "paper_normal", seed=2)
         x = np.random.default_rng(1).standard_normal((7, 6)).astype(dtype)
         x_before = x.tobytes()
-        for net in (params, FlatParameters.from_params(params, dtype)):
+        for net in (params, params.astype(dtype)):
             before = [a.tobytes() for layer in net.layers for a in layer]
             _, activations = forward(net, x, activation)
             assert (activations[0] is x) == (net.layers[0][0].dtype == dtype)
@@ -311,50 +310,55 @@ class TestGradientBuffer:
         rng = np.random.default_rng(12)
         sizes = (30, 25, 18, 7)
         params = init_params(sizes, "paper_normal", seed=6)
-        flat = FlatParameters.from_params(params)
         if zero:
-            for w, b in flat.layers[:-1]:
-                w[...] = 0.0
-                b[...] = 0.0
-            params = flat.freeze()
+            layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers[:-1]]
+            params = NetworkParameters((*layers, params.layers[-1]), sizes)
         x = rng.standard_normal((13, 30))
         grad_output = rng.standard_normal((13, 7))
         _, activations = forward(params, x, activation)
         expected = _allocating_backprop(params, activations, grad_output, activation)
-        for net in (params, flat):
-            _, net_activations = forward(net, x, activation)
-            buffer = FlatParameters(sizes)
-            buffer.flat[:] = np.nan
-            got = backprop_output_grad(
-                net, net_activations, grad_output, activation, out=buffer
-            )
-            assert got is buffer
-            for (gw, gb), (ew, eb) in zip(buffer.layers, expected):
-                np.testing.assert_array_equal(gw, ew)
-                np.testing.assert_array_equal(gb, eb)
+        buffer = NetworkParameters(None, sizes)
+        buffer.flat[:] = np.nan
+        got = backprop_output_grad(params, activations, grad_output, activation, out=buffer)
+        assert got is buffer
+        for (gw, gb), (ew, eb) in zip(buffer.layers, expected):
+            np.testing.assert_array_equal(gw, ew)
+            np.testing.assert_array_equal(gb, eb)
 
     def test_buffer_of_other_sizes_rejected(self):
         params = init_params((4, 3, 2), seed=0)
         _, activations = forward(params, np.ones((2, 4)))
         with pytest.raises(ShapeMismatch):
             backprop_output_grad(
-                params, activations, np.ones((2, 2)), out=FlatParameters((4, 3, 3))
+                params, activations, np.ones((2, 2)), out=NetworkParameters(None, (4, 3, 3))
             )
 
     def test_flat_copy_and_freeze_share_no_memory(self):
+        # a float32 copy trains in place; its float64 copy is frozen
         params = init_params((5, 4, 3), seed=1)
-        flat = FlatParameters.from_params(params)
-        frozen = flat.freeze()
+        flat = params.astype(np.float32)
+        frozen = flat.astype(np.float64)
         for (w, b), (fw, fb), (zw, zb) in zip(params.layers, flat.layers, frozen.layers):
             np.testing.assert_array_equal(fw, w)
             np.testing.assert_array_equal(zb, b)
             assert np.shares_memory(fw, flat.flat) and np.shares_memory(fb, flat.flat)
-            assert not zw.flags.writeable
+            assert fw.flags.writeable and fb.flags.writeable
+            assert not (zw.flags.writeable or zb.flags.writeable)
+        assert flat.flat.flags.writeable and not frozen.flat.flags.writeable
         flat.flat[:] = 0.0
         for (w, b), (zw, zb) in zip(params.layers, frozen.layers):
             np.testing.assert_array_equal(zw, w)
             np.testing.assert_array_equal(zb, b)
             assert np.any(w != 0.0)
+
+    def test_layers_of_other_shapes_rejected(self):
+        w, b = np.zeros((3, 4)), np.zeros(3)
+        with pytest.raises(ShapeMismatch, match="weight 3"):
+            NetworkParameters(((w, b), (np.zeros((3, 2)), np.zeros(2))), (4, 3, 2))
+        with pytest.raises(ShapeMismatch, match="bias 2"):
+            NetworkParameters(((w, np.zeros(4)), (np.zeros((2, 3)), np.zeros(2))), (4, 3, 2))
+        with pytest.raises(ShapeMismatch, match="1 layers for 3 layer sizes"):
+            NetworkParameters(((w, b),), (4, 3, 2))
 
 
 class TestFloat32:
@@ -364,7 +368,7 @@ class TestFloat32:
 
     def nets(self, seed=6):
         params = init_params(self.sizes, "scaled_normal", seed=seed)
-        return params, FlatParameters.from_params(params, np.float32)
+        return params, params.astype(np.float32)
 
     def test_init_params_are_float32_values_held_in_float64(self):
         params = init_params(self.sizes, "paper_normal", seed=3)
@@ -375,7 +379,7 @@ class TestFloat32:
     def test_float32_copy_freezes_back_to_the_float64_values(self):
         params, flat = self.nets()
         assert flat.flat.dtype == np.float32
-        for (w, b), (zw, zb) in zip(params.layers, flat.freeze().layers):
+        for (w, b), (zw, zb) in zip(params.layers, flat.astype(np.float64).layers):
             assert zw.dtype == zb.dtype == np.float64
             np.testing.assert_array_equal(zw, w)
             np.testing.assert_array_equal(zb, b)
@@ -409,7 +413,7 @@ class TestFloat32:
         _, activations = forward(params, x, activation)
         expected = _allocating_backprop(params, activations, grad_output, activation)
         _, activations32 = forward(flat, x.astype(np.float32), activation)
-        buffer = FlatParameters(self.sizes, np.float32)
+        buffer = NetworkParameters(None, self.sizes, np.float32)
         got = backprop_output_grad(
             flat, activations32, grad_output.astype(np.float32), activation, out=buffer
         )
@@ -523,8 +527,8 @@ class TestOutputStandardization:
         d, b = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
         t = d @ b
         for dtype in (np.float64, np.float32):
-            theta = FlatParameters.from_params(params, dtype)
-            got = FlatParameters(params.layer_sizes, dtype)
+            theta = params.astype(dtype)
+            got = NetworkParameters(None, params.layer_sizes, dtype)
             loss = _batch_gradient(theta, x.astype(dtype), d, b, "tanh", 2.5, got)
             out, activations = forward(theta, x.astype(dtype), "tanh")
             y, scale = standardize_outputs(out)

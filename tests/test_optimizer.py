@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 from drsl.data_model import (
     DesignMatrix,
     FitConfig,
+    NetworkParameters,
     RegularizerMode,
     SignatureMatrix,
     SubjectData,
 )
 from drsl.errors import DrslError, NonFinite, ShapeMismatch
-from drsl.kernel_net import FlatParameters, forward, init_params, standardize_outputs
+from drsl.kernel_net import forward, init_params, standardize_outputs
 from drsl.baselines import fit_lrsl
 from drsl.optimizer import (
     ADAM_BLOCK,
+    ADAM_EPSILON,
+    ADAM_MU1,
+    ADAM_MU2,
     AdamState,
     SubjectFit,
     _data_term,
@@ -190,22 +194,30 @@ def _reference_adam(theta, delta, gamma, g, k, eta, mu1, mu2, eps):
     return theta - eta * (delta / (1.0 - mu1**k)) / denom, delta, gamma
 
 
+def _writable(params, dtype=np.float64):
+    """A writable copy of ``params`` in ``dtype``, as training holds theta."""
+    theta = NetworkParameters(None, params.layer_sizes, dtype)
+    theta.flat[:] = params.flat
+    return theta
+
+
 class TestAdamStep:
     def make(self, seed=0, sizes=(3, 4, 4, 2)):
-        params = FlatParameters.from_params(init_params(sizes, "scaled_normal", seed=seed))
-        return params, AdamState(sizes)
+        params = _writable(init_params(sizes, "scaled_normal", seed=seed))
+        return params, AdamState(params)
 
     def test_zero_gradient_leaves_parameters(self):
         params, state = self.make()
         before = params.flat.copy()
-        adam_step(state, FlatParameters(params.layer_sizes), params, 1e-3, 0.9, 0.999, 1e-8)
+        adam_step(state, NetworkParameters(None, params.layer_sizes), params,
+                  1e-3, 0.9, 0.999, 1e-8)
         assert state.step_count == 1
         np.testing.assert_array_equal(params.flat, before)
 
     def test_first_step_is_signed_learning_rate(self):
         params, state = self.make()
         before = [(w.copy(), b.copy()) for w, b in params.layers]
-        grads = FlatParameters(params.layer_sizes)
+        grads = NetworkParameters(None, params.layer_sizes)
         for gw, gb in grads.layers:
             gw[...] = 5.0
             gb[...] = -5.0
@@ -228,13 +240,10 @@ class TestAdamStep:
             expected.append(theta)
 
         sizes = (1, 1, 1)
-        layers = ((np.array([[0.3]]), np.array([0.3])), (np.array([[0.3]]), np.array([0.3])))
-        from drsl.data_model import NetworkParameters
-
-        params = FlatParameters.from_params(NetworkParameters(layers, sizes))
-        state = AdamState(sizes)
-        grads = FlatParameters(sizes)
+        params, grads = NetworkParameters(None, sizes), NetworkParameters(None, sizes)
+        params.flat[:] = 0.3
         grads.flat[:] = g
+        state = AdamState(params)
         for k in range(3):
             adam_step(state, grads, params, eta, mu1, mu2, eps)
             assert params.layers[0][0][0, 0] == pytest.approx(expected[k], abs=1e-12)
@@ -248,7 +257,7 @@ class TestAdamStep:
         assert ADAM_BLOCK < sizes[1] * sizes[0] < n_first < 2 * ADAM_BLOCK < params.flat.size
         arrays = [a for layer in params.layers for a in layer]
         ref = [[a.copy(), np.zeros_like(a), np.zeros_like(a)] for a in arrays]
-        grads = FlatParameters(sizes)
+        grads = NetworkParameters(None, sizes)
         rng = np.random.default_rng(8)
         eta, mu1, mu2, eps = 1e-2, 0.9, 0.999, 1e-8
         for k in range(1, 6):
@@ -257,56 +266,50 @@ class TestAdamStep:
             g_arrays = [a for layer in grads.layers for a in layer]
             for entry, g in zip(ref, g_arrays):
                 entry[:] = _reference_adam(*entry, g, k, eta, mu1, mu2, eps)
-        got = zip(
-            (a for layer in params.layers for a in layer),
-            (a for layer in state.delta.layers for a in layer),
-            (a for layer in state.gamma.layers for a in layer),
-        )
-        for (theta, delta, gamma), expected in zip(got, ref):
-            np.testing.assert_array_equal(theta, expected[0])
-            np.testing.assert_array_equal(delta, expected[1])
-            np.testing.assert_array_equal(gamma, expected[2])
+        # theta, delta and gamma are flat, in the order of params.layers
+        bounds = np.cumsum([entry[0].size for entry in ref])[:-1]
+        for got, i in ((params.flat, 0), (state.delta, 1), (state.gamma, 2)):
+            for a, entry in zip(np.split(got, bounds), ref):
+                np.testing.assert_array_equal(a, np.ravel(entry[i]))
         assert state.step_count == 5
 
     def test_mismatched_buffers_raise(self):
         params, state = self.make()
         with pytest.raises(ShapeMismatch):
-            adam_step(state, FlatParameters((3, 4, 2)), params, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(state, NetworkParameters(None, (3, 4, 2)), params, 1e-3, 0.9, 0.999, 1e-8)
 
     def test_float32_buffers_match_functional_reference_across_blocks(self):
         # as the bit-identical test above, with float32 theta, gradient and
         # moments against the float64 reference
         sizes = (200, 120, 90, 10)
         params64 = init_params(sizes, "scaled_normal", seed=3)
-        params = FlatParameters.from_params(params64, np.float32)
-        state = AdamState(sizes, np.float32)
+        params = params64.astype(np.float32)
+        state = AdamState(params)
         ref = [[a.copy(), np.zeros_like(a), np.zeros_like(a)]
                for layer in params64.layers for a in layer]
-        grads = FlatParameters(sizes, np.float32)
+        grads = NetworkParameters(None, sizes, np.float32)
         rng = np.random.default_rng(8)
         eta, mu1, mu2, eps = 1e-2, 0.9, 0.999, 1e-8
         for k in range(1, 6):
             grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.uniform(-4, 2)
             adam_step(state, grads, params, eta, mu1, mu2, eps)
-            for buffer in (params, grads, state.delta, state.gamma):
-                assert buffer.flat.dtype == np.float32
+            for buffer in (params.flat, grads.flat, state.delta, state.gamma):
+                assert buffer.dtype == np.float32
             g_arrays = [a.astype(np.float64) for layer in grads.layers for a in layer]
             for entry, g in zip(ref, g_arrays):
                 entry[:] = _reference_adam(*entry, g, k, eta, mu1, mu2, eps)
-        got = zip(
-            (a for layer in params.layers for a in layer),
-            (a for layer in state.delta.layers for a in layer),
-            (a for layer in state.gamma.layers for a in layer),
-        )
-        for arrays, expected in zip(got, ref):
-            for a, e in zip(arrays, expected):
+        # each array against its own reference, as scales differ by layer
+        bounds = np.cumsum([entry[0].size for entry in ref])[:-1]
+        for got, i in ((params.flat, 0), (state.delta, 1), (state.gamma, 2)):
+            for a, entry in zip(np.split(got, bounds), ref):
+                e = np.ravel(entry[i])
                 np.testing.assert_allclose(a, e, rtol=1e-5, atol=1e-6 * np.max(np.abs(e)))
 
     def test_mismatched_dtypes_raise(self):
         params, state = self.make()
         with pytest.raises(ShapeMismatch):
             adam_step(
-                state, FlatParameters(params.layer_sizes, np.float32), params,
+                state, NetworkParameters(None, params.layer_sizes, np.float32), params,
                 1e-3, 0.9, 0.999, 1e-8,
             )
 
@@ -492,14 +495,17 @@ class TestFitSubject:
 
         def spy_adam(state, grads, params, *args):
             seen.append((params.flat.dtype, grads.flat.dtype,
-                         state.delta.flat.dtype, state.gamma.flat.dtype))
+                         state.delta.dtype, state.gamma.dtype, args))
             return step(state, grads, params, *args)
 
         monkeypatch.setattr(opt, "adam_step", spy_adam)
         data, design = make_subject()
         cfg = FitConfig(m2=4, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=1)
         out = fit_subject(data, design, SignatureMatrix(np.ones((3, 4))), cfg)
-        assert seen == [(np.float32,) * 4] * cfg.m2
+        # Adam's constants are Kingma & Ba's, the same for every fit
+        assert (ADAM_MU1, ADAM_MU2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
+        constants = (cfg.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
+        assert seen == [(*(np.float32,) * 4, constants)] * cfg.m2
         for a in (a for layer in out.params.layers for a in layer):
             assert a.dtype == np.float64 and not a.flags.writeable
         assert out.mapped_responses.dtype == out.signatures.values.dtype == np.float64
