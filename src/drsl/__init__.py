@@ -9,7 +9,7 @@ correlation/MSE/ECOC evaluation protocols.
 
 __version__ = "0.1.0"
 
-from .baselines import BaselineKind, fit_glm, fit_lasso, fit_lrsl
+from .baselines import fit_glm, fit_lasso, fit_lrsl
 from .data_model import (
     Activation,
     DesignMatrix,
@@ -63,7 +63,6 @@ from .synth import Nonlinearity, SignatureStyle, SynthSpec, generate_dataset
 __all__ = [
     "Activation",
     "AdamState",
-    "BaselineKind",
     "CvReport",
     "DesignMatrix",
     "EcocCodebook",

@@ -9,8 +9,6 @@ squares solve, so rank-deficient designs get the minimum-norm solution.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .data_model import (
@@ -22,14 +20,6 @@ from .data_model import (
 )
 from .errors import DrslError
 from .optimizer import GroupFit, SubjectFit, _elastic_net, check_group, signature_step
-
-
-class BaselineKind(str, enum.Enum):
-    """Linear baselines; each variant maps to exactly one fit routine."""
-
-    GLM_RSA = "glm"
-    LASSO = "lasso"
-    LRSL = "lrsl"
 
 
 def fit_glm(data: SubjectData, design: DesignMatrix) -> SignatureMatrix:

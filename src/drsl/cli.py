@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/compute failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,6 @@ from .dataset_io import (
 )
 from .errors import DrslError, ParseError
 from .evaluation import (
-    METHOD_DRSL,
     METHODS,
     between_class_correlation,
     cross_validate,
@@ -81,6 +81,7 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 
 def _config_from_args(args, v_org: int | None) -> FitConfig:
+    """The one map from the config flags to a run's settings."""
     layer_sizes = None
     if args.layers:
         widths = _int_list("--layers", args.layers)
@@ -98,27 +99,20 @@ def _config_from_args(args, v_org: int | None) -> FitConfig:
         init=args.init,
         seed=args.seed,
         regularizer=args.regularizer,
+        lasso_alpha=args.lasso_alpha,
+        lasso_iterations=args.lasso_iters,
     )
 
 
-def _config_echo(args, method: str, dataset: str) -> dict:
-    return {
-        "method": method,
-        "dataset": os.path.abspath(dataset),
-        "alpha": args.alpha,
-        "eta": args.eta,
-        "m1": args.m1,
-        "m2": args.m2,
-        "batch": args.batch,
-        "layers": args.layers,
-        "activation": args.activation,
-        "init": args.init,
-        "seed": args.seed,
-        "regularizer": args.regularizer,
-        "lasso_alpha": args.lasso_alpha,
-        "lasso_iters": args.lasso_iters,
-        "version": __version__,
-    }
+def _write_run(out: str, args, **phase_s: float) -> None:
+    """runtime.csv and run.json, the flags as given with the dataset's absolute path."""
+    rows = [f"{args.method},{phase},{fmt(s * 1e3)}" for phase, s in phase_s.items()]
+    _write_csv(os.path.join(out, "runtime.csv"), RUNTIME_HEADER, rows)
+    echo = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    echo.update(dataset=os.path.abspath(args.dataset), version=__version__)
+    with open(os.path.join(out, "run.json"), "w") as fh:
+        json.dump(echo, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_standardized(path: str):
@@ -136,10 +130,6 @@ def _write_fit_tables(out: str, method: str, rho: float, iterations: int, mse: f
     row = f"{method},{fmt(rho)},{fmt(0.0)}"
     _write_csv(os.path.join(out, "correlation.csv"), CORRELATION_HEADER, [row])
     _write_csv(os.path.join(out, "mse.csv"), MSE_HEADER, [f"{iterations},{fmt(mse)}"])
-
-
-def _runtime_rows(method: str, **phase_s: float) -> list[str]:
-    return [f"{method},{phase},{fmt(seconds * 1e3)}" for phase, seconds in phase_s.items()]
 
 
 def _cmd_synth(args) -> int:
@@ -171,10 +161,7 @@ def _cmd_fit(args) -> int:
     datasets = _load_standardized(args.dataset)
     t1 = time.perf_counter()
     config = _config_from_args(args, datasets[0][0].n_voxels)
-    method_fit = fit_method(
-        datasets, args.method, config,
-        lasso_alpha=args.lasso_alpha, lasso_iterations=args.lasso_iters,
-    )
+    method_fit = fit_method(datasets, args.method, config)
     t2 = time.perf_counter()
     rho = between_class_correlation(method_fit.signatures)
     designs = [design for _, design in datasets]
@@ -189,26 +176,20 @@ def _cmd_fit(args) -> int:
         write_matrix_tsv(
             os.path.join(out, f"sub-{data.subject_id}_signatures.tsv"), sig.values
         )
-        if args.method == METHOD_DRSL:
+        if args.method == "drsl":
             write_matrix_tsv(os.path.join(out, f"sub-{data.subject_id}_mapped.tsv"), mapped)
-    _write_fit_tables(out, args.method, rho, _total_iterations(args), mse)
-    _write_csv(
-        os.path.join(out, "runtime.csv"),
-        RUNTIME_HEADER,
-        _runtime_rows(args.method, load=t1 - t0, fit=t2 - t1, eval=t3 - t2),
-    )
-    with open(os.path.join(out, "run.json"), "w") as fh:
-        json.dump(_config_echo(args, args.method, args.dataset), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_fit_tables(out, args.method, rho, _total_iterations(vars(args)), mse)
+    _write_run(out, args, load=t1 - t0, fit=t2 - t1, eval=t3 - t2)
     print(f"method={args.method} rho_max={rho:.6f} mse={mse:.6f} -> {out}")
     return 0
 
 
-def _total_iterations(args) -> int:
-    if args.method == METHOD_DRSL:
-        return args.m1 * args.m2
-    if args.method == "lasso":
-        return args.lasso_iters
+def _total_iterations(echo: dict) -> int:
+    """The iteration count mse.csv reports, from a fit's flags or its run.json."""
+    if echo["method"] == "drsl":
+        return echo["m1"] * echo["m2"]
+    if echo["method"] == "lasso":
+        return echo["lasso_iters"]
     return 0
 
 
@@ -234,21 +215,17 @@ def _cmd_eval(args) -> int:
     designs = [design for _, design in datasets]
     signatures = read_matrix_tsv(os.path.join(args.fit_output, "signatures.tsv"))
     rho = between_class_correlation(signatures)
+    # only drsl signatures model mapped responses; a fit of another method
+    # into the same directory leaves an earlier drsl fit's mapped files there
+    mapped = echo["method"] == "drsl"
     subject_sigs, responses = [], []
     for data, _ in datasets:
-        subject_sigs.append(
-            read_matrix_tsv(
-                os.path.join(args.fit_output, f"sub-{data.subject_id}_signatures.tsv")
-            )
-        )
-        mapped_path = os.path.join(args.fit_output, f"sub-{data.subject_id}_mapped.tsv")
-        responses.append(
-            read_matrix_tsv(mapped_path) if os.path.isfile(mapped_path) else data.responses
-        )
+        prefix = os.path.join(args.fit_output, f"sub-{data.subject_id}")
+        subject_sigs.append(read_matrix_tsv(f"{prefix}_signatures.tsv"))
+        responses.append(read_matrix_tsv(f"{prefix}_mapped.tsv") if mapped else data.responses)
     mse = group_mse(responses, subject_sigs, designs)
     os.makedirs(out, exist_ok=True)
-    iterations = _total_iterations(argparse.Namespace(**echo))
-    _write_fit_tables(out, echo["method"], rho, iterations, mse)
+    _write_fit_tables(out, echo["method"], rho, _total_iterations(echo), mse)
     print(f"method={echo['method']} rho_max={rho:.6f} mse={mse:.6f} -> {out}")
     return 0
 
@@ -266,24 +243,15 @@ def _cmd_cv(args) -> int:
         f"{args.method},{fold},{fmt(acc)}" for fold, acc in enumerate(report.accuracies)
     ]
     _write_csv(os.path.join(out, "accuracy.csv"), ACCURACY_HEADER, rows)
-    conf_rows = []
-    for fold, confusion in enumerate(report.confusions):
-        for true_k in range(confusion.shape[0]):
-            for pred_k in range(confusion.shape[1]):
-                conf_rows.append(
-                    f"{args.method},{fold},{true_k},{pred_k},{confusion[true_k, pred_k]}"
-                )
+    conf_rows = [
+        f"{args.method},{fold},{true_k},{pred_k},{confusion[true_k, pred_k]}"
+        for fold, confusion in enumerate(report.confusions)
+        for true_k, pred_k in np.ndindex(confusion.shape)
+    ]
     _write_csv(
         os.path.join(out, "confusion.csv"), "method,fold,true,predicted,count", conf_rows
     )
-    _write_csv(
-        os.path.join(out, "runtime.csv"),
-        RUNTIME_HEADER,
-        _runtime_rows(args.method, load=t1 - t0, cv=t2 - t1),
-    )
-    with open(os.path.join(out, "run.json"), "w") as fh:
-        json.dump(_config_echo(args, args.method, args.dataset), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_run(out, args, load=t1 - t0, cv=t2 - t1)
     print(
         f"method={args.method} folds={report.n_folds} "
         f"accuracy={report.mean_accuracy:.4f}+/-{report.std_accuracy:.4f} -> {out}"
@@ -351,13 +319,12 @@ def _cmd_iters(args) -> int:
         raise DrslError(f"--m2 must be >= 1 for iters, got {args.m2}")
     datasets = _load_standardized(args.dataset)
     designs = [design for _, design in datasets]
+    config = _config_from_args(args, datasets[0][0].n_voxels)
     rows = []
     for total in schedule:
         m2 = min(args.m2, total)
         m1 = -(-total // m2)  # ceil division
-        override = argparse.Namespace(**{**vars(args), "m1": m1, "m2": m2})
-        config = _config_from_args(override, datasets[0][0].n_voxels)
-        method_fit = fit_method(datasets, METHOD_DRSL, config)
+        method_fit = fit_method(datasets, "drsl", dataclasses.replace(config, m1=m1, m2=m2))
         mse = group_mse(
             method_fit.mapped_responses, method_fit.subject_signatures, designs
         )

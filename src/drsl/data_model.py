@@ -209,11 +209,14 @@ def validate_layer_sizes(sizes: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters of the training loops.
+    """Settings of one run, for every method.
 
     Defaults: alpha=10, eta=1e-3, 10 outer by 100 inner iterations, batch
     size 50. ``layer_sizes=None`` derives the architecture from the voxel
     count at fit time. Adam's constants are fixed in :mod:`drsl.optimizer`.
+    ``lasso_alpha`` (0.9) and ``lasso_iterations`` (500) are the LASSO
+    baseline's penalty and iteration cap; only that method reads them, and
+    :func:`drsl.baselines.fit_lasso` checks them when it runs.
     """
 
     alpha: float = 10.0
@@ -226,6 +229,8 @@ class FitConfig:
     init: InitScheme = InitScheme.SCALED_NORMAL
     seed: int = 0
     regularizer: RegularizerMode = RegularizerMode.ENABLED
+    lasso_alpha: float = 0.9
+    lasso_iterations: int = 500
 
     def __post_init__(self):
         object.__setattr__(self, "activation", Activation(self.activation))

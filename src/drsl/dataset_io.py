@@ -73,6 +73,25 @@ def _bold_copies(path: str, subject_id: str) -> list[str]:
     return [name for name in os.listdir(path) if copy.fullmatch(name)]
 
 
+def _check_subject_ids(subjects) -> None:
+    """Reject a subject list that ``manifest.txt`` cannot hold or name files by.
+
+    An id must be non-empty, with no ',', tab, newline or path separator,
+    and appear once: a repeated id would be fitted, written and, in
+    cross-validation, held out and trained on as two subjects.
+    """
+    seen = set()
+    for sid in subjects:
+        if not sid or any(c in sid for c in (",", "\t", "\n", "\r", "/", os.sep)):
+            raise ParseError(
+                f"{MANIFEST_NAME}: subject {sid!r}: an id must be non-empty, with no ',', "
+                "tab, newline or path separator"
+            )
+        if sid in seen:
+            raise ParseError(f"{MANIFEST_NAME}: subject {sid!r} appears twice")
+        seen.add(sid)
+
+
 def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> None:
     """Write subjects, their event tables and the bold copies under ``path``.
 
@@ -86,17 +105,9 @@ def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> Non
     n_scans = pairs[0][1].n_scans
     conditions = pairs[0][1].conditions
     first = pairs[0][0]
-    seen = set()
+    _check_subject_ids(data.subject_id for data, _ in pairs)
     for data, events in pairs:
         sid = data.subject_id
-        if not sid or any(c in sid for c in (",", "\t", "\n", "\r", "/", os.sep)):
-            raise ParseError(
-                f"subject {sid!r}: an id must be non-empty, with no ',', tab, "
-                "newline or path separator"
-            )
-        if sid in seen:
-            raise ParseError(f"subject {sid!r} appears twice")
-        seen.add(sid)
         if data.n_voxels != first.n_voxels:
             raise ParseError(
                 f"subject {sid!r} has {data.n_voxels} voxels, "
@@ -162,6 +173,7 @@ def _read_manifest(path: str) -> dict:
     subjects = tuple(s for s in entries["subjects"].split(",") if s)
     if not conditions or not subjects:
         raise ParseError(f"{MANIFEST_NAME}: empty conditions or subjects list")
+    _check_subject_ids(subjects)
     return {"tr": tr, "n_scans": n_scans, "conditions": conditions, "subjects": subjects}
 
 

@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineKind, fit_glm, fit_lasso, fit_lrsl
+from .baselines import fit_glm, fit_lasso, fit_lrsl
 from .data_model import DesignMatrix, FitConfig, SignatureMatrix, SubjectData
 from .errors import DrslError, NonFinite, ShapeMismatch
 from .kernel_net import fold_output_standardization, forward
 from .optimizer import GroupFit, check_group, fit, fit_kernel_params, seed_stream
 
-METHOD_DRSL = "drsl"
-METHODS = (METHOD_DRSL, BaselineKind.LRSL.value, BaselineKind.GLM_RSA.value, BaselineKind.LASSO.value)
+METHODS = ("drsl", "lrsl", "glm", "lasso")
 
 _RESIDUAL_FLOOR = 1e-8
 _DOMINANCE_FRACTION = 0.5
@@ -288,15 +287,6 @@ class CvReport:
         return float(np.std(self.accuracies, ddof=1))
 
 
-def normalize_method(method) -> str:
-    if isinstance(method, BaselineKind):
-        return method.value
-    name = str(method).lower()
-    if name not in METHODS:
-        raise DrslError(f"unknown method {method!r}; expected one of {METHODS}")
-    return name
-
-
 @dataclass(frozen=True)
 class MethodFit:
     """Group and per-subject results of one method on one dataset list.
@@ -313,44 +303,48 @@ class MethodFit:
     group: GroupFit | None = None
 
 
-def fit_method(datasets, method, config: FitConfig, lasso_alpha: float = 0.9,
-               lasso_iterations: int = 500, *, first_fits: dict | None = None) -> MethodFit:
-    """Fit any method on a dataset list.
+def fit_method(datasets, method: str, config: FitConfig, *,
+               first_fits: dict | None = None) -> MethodFit:
+    """Fit one of :data:`METHODS`, named exactly, on a dataset list.
 
-    Closed-form baselines average the per-subject solutions into the group
+    Every method takes its settings from ``config``: lasso its
+    ``lasso_alpha`` and ``lasso_iterations``, lrsl its ``alpha`` and
+    ``regularizer``, drsl all the rest; glm has none. Closed-form
+    baselines average the per-subject solutions into the group
     signatures, mirroring the aggregation of the iterative fits. drsl needs
     ``config.m1 >= 1``: with no outer iteration there is no fit to report.
     ``first_fits`` is passed to drsl's :func:`drsl.optimizer.fit`; the
     other methods cost milliseconds and take no part in it.
     """
-    name = normalize_method(method)
+    if method not in METHODS:
+        raise DrslError(f"unknown method {method!r}; expected one of {METHODS}")
     check_group(datasets)
-    if name in (METHOD_DRSL, BaselineKind.LRSL.value):
-        if name == METHOD_DRSL and not config.m1 >= 1:
+    if method in ("drsl", "lrsl"):
+        if method == "drsl" and not config.m1 >= 1:
             raise DrslError(f"drsl needs m1 >= 1 outer iterations, got m1={config.m1}")
         group = (
             fit(datasets, config, first_fits=first_fits)
-            if name == METHOD_DRSL
+            if method == "drsl"
             else fit_lrsl(datasets, config)
         )
         return MethodFit(
-            method=name,
+            method=method,
             signatures=group.signatures,
             subject_signatures=tuple(s.signatures for s in group.subject_fits),
             mapped_responses=tuple(s.mapped_responses for s in group.subject_fits),
             group=group,
         )
-    if name == BaselineKind.GLM_RSA.value:
+    if method == "glm":
         fits = tuple(fit_glm(data, design) for data, design in datasets)
     else:
         fits = tuple(
-            fit_lasso(data, design, alpha_lasso=lasso_alpha, iterations=lasso_iterations)
+            fit_lasso(data, design, config.lasso_alpha, config.lasso_iterations)
             for data, design in datasets
         )
     mean = np.mean([f.values for f in fits], axis=0)
     signatures = SignatureMatrix(values=mean, conditions=datasets[0][1].conditions)
     return MethodFit(
-        method=name,
+        method=method,
         signatures=signatures,
         subject_signatures=fits,
         mapped_responses=tuple(data.responses for data, _ in datasets),
@@ -377,8 +371,11 @@ def _class_means(mapped, designs, signatures: SignatureMatrix) -> np.ndarray:
     return means
 
 
-def cross_validate(datasets, method, config: FitConfig) -> CvReport:
+def cross_validate(datasets, method: str, config: FitConfig) -> CvReport:
     """One-subject-out protocol: fit on S-1 subjects, classify the held-out one.
+
+    Each fold fits its training subjects with :func:`fit_method` and
+    ``config``, so every method's settings in it reach every fold.
 
     The held-out run splits at scan T // 2. Every method is scored on the
     dominant time points of the second half (``CvReport.scored_scans``).
@@ -395,11 +392,10 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
     each with its theta and mapped run; later outer iterations start from
     the fold's own group mean and are refitted per fold.
     """
-    name = normalize_method(method)
     if len(datasets) < 2:
         raise ShapeMismatch(f"cross-validation needs >= 2 subjects, got {len(datasets)}")
     first_fits = None
-    if name == METHOD_DRSL:
+    if method == "drsl":
         for data, _ in datasets:
             if config.batch_size > data.n_scans // 2:
                 raise ShapeMismatch(
@@ -413,7 +409,7 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
     accuracies, confusions, subject_ids, scored = [], [], [], []
     for fold, (test_data, test_design) in enumerate(datasets):
         train = [pair for k, pair in enumerate(datasets) if k != fold]
-        method_fit = fit_method(train, name, config, first_fits=first_fits)
+        method_fit = fit_method(train, method, config, first_fits=first_fits)
         signatures = method_fit.signatures
         train_designs = [design for _, design in train]
         mapped_train = method_fit.mapped_responses
@@ -429,7 +425,7 @@ def cross_validate(datasets, method, config: FitConfig) -> CvReport:
                 "no single-condition-dominant time points in the scored part of "
                 "the test run"
             )
-        if name == METHOD_DRSL:
+        if method == "drsl":
             adapt_x = test_data.responses[:split]
             theta = fit_kernel_params(
                 SubjectData(subject_id=test_data.subject_id, responses=adapt_x),

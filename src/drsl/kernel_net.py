@@ -131,17 +131,27 @@ def forward(
     return acts[-1], tuple(acts)
 
 
-def standardize_outputs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature batch standardization; returns (y, scale).
+def standardize_outputs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-feature batch standardization; returns (y, scale, mean).
 
     y = (z - mean) / scale with scale = sqrt(var + eps), both over the batch
     rows (population variance). A feature that is constant over the batch
     maps to zeros. float32 input is standardized in float32.
+
+    The rows are centred twice. In float32 the rounding error of the first
+    mean shifts every row of a feature alike, and
+    :func:`standardize_backward` would turn that shift into the same error
+    in every row of the gradient; the second pass removes it. ``mean`` is
+    the total removed.
     """
     z = np.asarray(z)
-    centered = z - z.mean(axis=0)
+    mean = z.mean(axis=0)
+    centered = z - mean
+    residue = centered.mean(axis=0)
+    centered -= residue
+    mean += residue
     scale = np.sqrt(np.mean(centered * centered, axis=0) + _STANDARDIZE_EPS)
-    return centered / scale, scale
+    return centered / scale, scale, mean
 
 
 def standardize_backward(grad_y: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -162,8 +172,7 @@ def fold_output_standardization(
     per-feature shift and scale to any other scans.
     """
     z, _ = forward(params, reference, activation)
-    _, scale = standardize_outputs(z)
-    mean = z.mean(axis=0)
+    _, scale, mean = standardize_outputs(z)
     w, b = params.layers[-1]
     last = (w / scale[:, None], (b - mean) / scale)
     return NetworkParameters(layers=(*params.layers[:-1], last), layer_sizes=params.layer_sizes)

@@ -400,7 +400,7 @@ def _batch_gradient(
     ``drsl gradcheck`` checks it.
     """
     z, activations = forward(theta, xb, activation)
-    fb, scale = standardize_outputs(z)
+    fb, scale, _ = standardize_outputs(z)
     targets = db @ b
     loss = _data_term(fb, targets, weight)
     grad_out = standardize_backward(2.0 * (fb - targets.astype(fb.dtype)), fb, scale)
@@ -429,7 +429,7 @@ def fit_subject(
         rng = np.random.default_rng(config.seed)
     where = f"outer iteration {outer}"
     params, losses = _train(data, design, b_init, config, rng, where, initial_params)
-    mapped, _ = standardize_outputs(forward(params, data.responses, config.activation)[0])
+    mapped = standardize_outputs(forward(params, data.responses, config.activation)[0])[0]
     b = signature_step(b_init, design.values, mapped, config.alpha, config.regularizer)
     if not np.all(np.isfinite(b)):
         raise NonFinite(

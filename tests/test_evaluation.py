@@ -451,6 +451,27 @@ class TestCrossValidate:
             assert ids[fold] not in train_ids
             assert len(train_ids) == 2
 
+    def test_lasso_folds_use_the_config_penalty_and_cap(self, monkeypatch):
+        import drsl.evaluation as ev
+
+        seen = []
+        original = ev.fit_lasso
+
+        def spy(data, design, alpha_lasso, iterations):
+            seen.append((alpha_lasso, iterations))
+            return original(data, design, alpha_lasso, iterations)
+
+        monkeypatch.setattr(ev, "fit_lasso", spy)
+        ds = _cv_dataset(s=3)
+        cross_validate(ds.pairs, "lasso", FitConfig(lasso_alpha=2.0, lasso_iterations=7))
+        assert seen == [(2.0, 7)] * 6  # 3 folds of 2 training subjects
+
+    @pytest.mark.parametrize("method", ["GLM", "Drsl"])
+    def test_method_names_match_exactly(self, method):
+        ds = _cv_dataset(s=2)
+        with pytest.raises(DrslError, match="unknown method"):
+            fit_method(ds.pairs, method, FitConfig())
+
     def test_drsl_adaptation_never_sees_scored_scans(self, monkeypatch):
         import drsl.evaluation as ev
 

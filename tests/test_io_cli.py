@@ -127,6 +127,21 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match="sub-03_bold.tsv has 119 rows, manifest says 120"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("subjects, message", [
+        ("01,01,02", "manifest.txt: subject '01' appears twice"),
+        ("01,../02", "manifest.txt: subject '../02': an id must be"),
+    ], ids=["duplicate", "path"])
+    def test_manifest_subject_ids_follow_the_write_rule(self, small_dataset, subjects, message):
+        # a repeated id would be fitted twice, and a CV fold would train on
+        # the subject it holds out
+        path, _ = small_dataset
+        manifest = os.path.join(path, "manifest.txt")
+        lines = [f"subjects\t{subjects}" if line.startswith("subjects\t") else line
+                 for line in open(manifest).read().splitlines()]
+        open(manifest, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_dataset(path)
+
     def test_unknown_event_condition(self, small_dataset):
         path, _ = small_dataset
         events = os.path.join(path, "sub-01_events.tsv")
@@ -374,6 +389,10 @@ class TestCli:
     def test_gradcheck_passes(self):
         assert run(["gradcheck", "--seed", "1"]) == 0
 
+    def test_gradcheck_passes_where_one_float32_centring_pass_failed(self):
+        # seed 7 read 3.5e-3 against 1e-3 with one pass
+        assert run(["gradcheck", "--seed", "7"]) == 0
+
     def test_gradcheck_fails_on_a_wrong_standardization_gradient(self, monkeypatch):
         import drsl.optimizer as opt
 
@@ -414,6 +433,36 @@ class TestCli:
         assert run(["eval", "--fit-output", fit_out, "--out", eval_out]) == 0
         assert open(os.path.join(eval_out, "correlation.csv")).read() == corr_before
         assert open(os.path.join(eval_out, "mse.csv")).read() == mse_before
+
+    def test_eval_ignores_mapped_files_of_an_earlier_drsl_fit(self, tmp_path):
+        # the drsl fit's output width equals the voxel count, so glm
+        # signatures would score its stale mapped files without a shape error
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "3", "--scans", "80", "--voxels", "12",
+             "--seed", "1", "--out", data_dir])
+        fit_out = str(tmp_path / "fit")
+        assert run(["fit", "--dataset", data_dir, "--method", "drsl", "--alpha", "1",
+                    "--m1", "1", "--m2", "5", "--batch", "20", "--layers", "8,12",
+                    "--out", fit_out]) == 0
+        assert run(["fit", "--dataset", data_dir, "--method", "glm", "--out", fit_out]) == 0
+        eval_out = str(tmp_path / "eval")
+        assert run(["eval", "--fit-output", fit_out, "--out", eval_out]) == 0
+        for table in ("correlation.csv", "mse.csv"):
+            assert open(os.path.join(eval_out, table)).read() == open(
+                os.path.join(fit_out, table)).read()
+
+    def test_eval_of_drsl_needs_the_mapped_files(self, tmp_path, capsys):
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "2", "--scans", "80", "--voxels", "12",
+             "--seed", "1", "--out", data_dir])
+        fit_out = str(tmp_path / "fit")
+        assert run(["fit", "--dataset", data_dir, "--method", "drsl", "--alpha", "1",
+                    "--m1", "1", "--m2", "5", "--batch", "20", "--layers", "8,6,4",
+                    "--out", fit_out]) == 0
+        os.remove(os.path.join(fit_out, "sub-02_mapped.tsv"))
+        capsys.readouterr()
+        assert run(["eval", "--fit-output", fit_out, "--out", str(tmp_path / "eval")]) == 1
+        assert "missing sub-02_mapped.tsv" in capsys.readouterr().err
 
     def test_eval_runs_from_another_directory(self, tmp_path, monkeypatch):
         # run.json records the dataset as an absolute path, not as typed
@@ -473,6 +522,42 @@ class TestCli:
             os.path.join(out2, "correlation.csv")
         ).read()
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_run_json_records_every_config_flag(self, tmp_path, command):
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
+             "--conditions", "2", "--seed", "2", "--out", data_dir])
+        out = str(tmp_path / command)
+        assert run([command, "--dataset", data_dir, "--method", "lasso",
+                    "--lasso-alpha", "2", "--out", out]) == 0
+        echo = json.load(open(os.path.join(out, "run.json")))
+        assert sorted(echo) == [
+            "activation", "alpha", "batch", "dataset", "eta", "init", "lasso_alpha",
+            "lasso_iters", "layers", "m1", "m2", "method", "regularizer", "seed", "version",
+        ]
+        assert echo["dataset"] == os.path.abspath(data_dir)
+        assert (echo["method"], echo["lasso_alpha"], echo["lasso_iters"]) == ("lasso", 2.0, 500)
+
+    def test_cv_fits_every_lasso_fold_with_the_flags(self, tmp_path, monkeypatch):
+        # a spy, not the accuracy: on this data every penalty that leaves
+        # B nonzero classifies perfectly
+        import drsl.evaluation as ev
+
+        seen = []
+        original = ev.fit_lasso
+
+        def spy(data, design, alpha_lasso, iterations):
+            seen.append((alpha_lasso, iterations))
+            return original(data, design, alpha_lasso, iterations)
+
+        monkeypatch.setattr(ev, "fit_lasso", spy)
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "3", "--scans", "80", "--voxels", "12",
+             "--seed", "1", "--out", data_dir])
+        assert run(["cv", "--dataset", data_dir, "--method", "lasso", "--lasso-alpha", "2",
+                    "--lasso-iters", "7", "--out", str(tmp_path / "cv")]) == 0
+        assert seen == [(2.0, 7)] * 6  # 3 folds of 2 training subjects
+
     def test_fit_and_cv_runtime_phases(self, tmp_path):
         data_dir = str(tmp_path / "d")
         run(["synth", "--subjects", "2", "--scans", "100", "--voxels", "8",
@@ -497,6 +582,24 @@ class TestCli:
         with open(os.path.join(out, "mse.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["iterations"]) for r in rows] == [40, 80]
+
+    def test_iters_rows_are_the_fits_of_their_schedule(self, tmp_path):
+        # every flag but --m1 and --m2 reaches each entry's fit as given
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "2", "--scans", "80", "--voxels", "12",
+             "--seed", "1", "--out", data_dir])
+        flags = ["--dataset", data_dir, "--layers", "8,6,4", "--batch", "20", "--alpha", "1",
+                 "--eta", "0.01", "--activation", "tanh", "--seed", "3"]
+        assert run(["iters", *flags, "--schedule", "5,12", "--m2", "5",
+                    "--out", str(tmp_path / "iters")]) == 0
+        rows = open(tmp_path / "iters" / "mse.csv").read().splitlines()
+        expected = [rows[0]]
+        for m1 in ("1", "3"):  # 12 iterations at 5 a pass take 3 passes
+            out = tmp_path / f"fit-{m1}"
+            assert run(["fit", *flags, "--method", "drsl", "--m1", m1, "--m2", "5",
+                        "--out", str(out)]) == 0
+            expected.append((out / "mse.csv").read_text().splitlines()[1])
+        assert rows == expected
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -397,8 +397,8 @@ class TestFloat32:
     def test_standardization_stays_float32_and_matches_float64(self):
         z = np.random.default_rng(4).standard_normal((40, 7)) * 3.0 + 1.0
         g = np.random.default_rng(5).standard_normal((40, 7))
-        y, scale = standardize_outputs(z)
-        y32, scale32 = standardize_outputs(z.astype(np.float32))
+        y, scale, _ = standardize_outputs(z)
+        y32, scale32, _ = standardize_outputs(z.astype(np.float32))
         back32 = standardize_backward(g.astype(np.float32), y32, scale32)
         assert y32.dtype == scale32.dtype == back32.dtype == np.float32
         np.testing.assert_allclose(y32, y, rtol=1e-5, atol=1e-5)
@@ -479,14 +479,25 @@ class TestActivationContract:
 class TestOutputStandardization:
     def test_zero_mean_unit_variance(self):
         z = np.random.default_rng(0).standard_normal((30, 4)) * [1.0, 5.0, 0.1, 20.0] + 3.0
-        y, _ = standardize_outputs(z)
+        y, _, mean = standardize_outputs(z)
+        np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-15)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-12)
         # eps = 1e-8 under the square root: var(y) = var(z) / (var(z) + eps)
         np.testing.assert_allclose(y.var(axis=0), z.var(axis=0) / (z.var(axis=0) + 1e-8))
 
+    def test_float32_outputs_near_a_large_mean_are_centred(self):
+        # a sigmoid output's batch std can be 0.0074 about a mean of -1.24:
+        # one float32 centring pass leaves a shift that every row shares
+        rng = np.random.default_rng(7)
+        z = (-1.24 + 0.0074 * rng.standard_normal((9, 6))).astype(np.float32)
+        y, _, mean = standardize_outputs(z)
+        assert y.dtype == mean.dtype == np.float32
+        assert np.max(np.abs(y.mean(axis=0, dtype=np.float64))) < 1e-6
+        np.testing.assert_allclose(mean, z.astype(np.float64).mean(axis=0), rtol=1e-7)
+
     def test_constant_feature_maps_to_zero(self):
         z = np.column_stack([np.full(5, 2.0), np.arange(5.0)])
-        y, _ = standardize_outputs(z)
+        y = standardize_outputs(z)[0]
         np.testing.assert_array_equal(y[:, 0], 0.0)
 
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
@@ -497,11 +508,11 @@ class TestOutputStandardization:
         t = rng.standard_normal((9, 3))
 
         def loss(p):
-            y, _ = standardize_outputs(forward(p, x, activation)[0])
+            y = standardize_outputs(forward(p, x, activation)[0])[0]
             return float(np.sum((y - t) ** 2))
 
         z, activations = forward(params, x, activation)
-        y, scale = standardize_outputs(z)
+        y, scale, _ = standardize_outputs(z)
         grads = backprop_output_grad(
             params, activations, standardize_backward(2.0 * (y - t), y, scale), activation
         )
@@ -531,7 +542,7 @@ class TestOutputStandardization:
             got = NetworkParameters(None, params.layer_sizes, dtype)
             loss = _batch_gradient(theta, x.astype(dtype), d, b, "tanh", 2.5, got)
             out, activations = forward(theta, x.astype(dtype), "tanh")
-            y, scale = standardize_outputs(out)
+            y, scale, _ = standardize_outputs(out)
             grad_y = standardize_backward(2.0 * (y - t.astype(dtype)), y, scale)
             expected = backprop_output_grad(theta, activations, grad_y, "tanh")
             assert got.flat.dtype == dtype
@@ -544,11 +555,11 @@ class TestOutputStandardization:
         ref = rng.standard_normal((20, 6))
         other = rng.standard_normal((7, 6))
         folded = fold_output_standardization(params, ref, "tanh")
-        expected, _ = standardize_outputs(forward(params, ref, "tanh")[0])
+        expected = standardize_outputs(forward(params, ref, "tanh")[0])[0]
         np.testing.assert_allclose(forward(folded, ref, "tanh")[0], expected, atol=1e-10)
         # the same affine map applies to scans outside the reference
         z_ref = forward(params, ref, "tanh")[0]
-        _, scale = standardize_outputs(z_ref)
+        _, scale, _ = standardize_outputs(z_ref)
         np.testing.assert_allclose(
             forward(folded, other, "tanh")[0],
             (forward(params, other, "tanh")[0] - z_ref.mean(axis=0)) / scale,

@@ -336,7 +336,7 @@ class TestFitSubject:
         for (w1, c1), (w2, c2) in zip(out.params.layers, start.layers):
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(c1, c2)
-        f, _ = standardize_outputs(forward(start, data.responses)[0])
+        f = standardize_outputs(forward(start, data.responses)[0])[0]
         np.testing.assert_array_equal(out.mapped_responses, f)
         np.testing.assert_array_equal(
             out.signatures.values, signature_step(b0, design.values, f, cfg.alpha)
@@ -405,7 +405,7 @@ class TestFitSubject:
             cfg = FitConfig(alpha=alpha, m2=10, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=1)
             out = fit_subject(data, design, SignatureMatrix(b0), cfg)
             # the run's standardized kernel outputs, mapped here from the result
-            f, _ = standardize_outputs(forward(out.params, data.responses)[0])
+            f = standardize_outputs(forward(out.params, data.responses)[0])[0]
             b = out.signatures.values
             assert _kkt_violation(b, design.values, f, alpha) < 1e-9
             # the B solve never ends above its warm start on the full run
@@ -437,9 +437,9 @@ class TestFitSubject:
             return batches[-1]
 
         def spy_standardize(z):
-            fb, scale = standardize(z)
+            fb, scale, mean = standardize(z)
             outputs.append(fb.copy())
-            return fb, scale
+            return fb, scale, mean
 
         monkeypatch.setattr(opt, "sample_batch", spy_sample)
         monkeypatch.setattr(opt, "standardize_outputs", spy_standardize)
