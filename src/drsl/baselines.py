@@ -16,9 +16,9 @@ from .data_model import (
     FitConfig,
     SignatureMatrix,
     SubjectData,
+    validate_lasso_settings,
     validate_pair,
 )
-from .errors import DrslError
 from .optimizer import GroupFit, SubjectFit, _elastic_net, check_group, signature_step
 
 
@@ -45,10 +45,7 @@ def fit_lasso(
     optimizer's elastic-net routine with no ridge term.
     """
     validate_pair(data, design)
-    if not 0.0 <= alpha_lasso < np.inf:
-        raise DrslError(f"alpha_lasso must be >= 0 and finite, got {alpha_lasso}")
-    if not iterations >= 1:
-        raise DrslError(f"lasso iterations must be >= 1, got {iterations}")
+    validate_lasso_settings(alpha_lasso, iterations)
     d = design.values
     dtx = d.T @ data.responses
     b = _elastic_net(d.T @ d, dtx, np.zeros(dtx.shape), alpha_lasso, 0.0, iterations)

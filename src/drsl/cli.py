@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/compute failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -111,7 +112,7 @@ def _write_run(out: str, args, **phase_s: float) -> None:
     echo = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     echo.update(dataset=os.path.abspath(args.dataset), version=__version__)
     with open(os.path.join(out, "run.json"), "w") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
+        json.dump(echo, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -173,11 +174,13 @@ def _cmd_fit(args) -> int:
     for (data, _), sig, mapped in zip(
         datasets, method_fit.subject_signatures, method_fit.mapped_responses
     ):
-        write_matrix_tsv(
-            os.path.join(out, f"sub-{data.subject_id}_signatures.tsv"), sig.values
-        )
+        prefix = os.path.join(out, f"sub-{data.subject_id}")
+        write_matrix_tsv(f"{prefix}_signatures.tsv", sig.values)
         if args.method == "drsl":
-            write_matrix_tsv(os.path.join(out, f"sub-{data.subject_id}_mapped.tsv"), mapped)
+            write_matrix_tsv(f"{prefix}_mapped.tsv", mapped)
+        else:  # an earlier drsl fit's mapped responses are not this fit's
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(f"{prefix}_mapped.tsv")
     _write_fit_tables(out, args.method, rho, _total_iterations(vars(args)), mse)
     _write_run(out, args, load=t1 - t0, fit=t2 - t1, eval=t3 - t2)
     print(f"method={args.method} rho_max={rho:.6f} mse={mse:.6f} -> {out}")
@@ -215,8 +218,8 @@ def _cmd_eval(args) -> int:
     designs = [design for _, design in datasets]
     signatures = read_matrix_tsv(os.path.join(args.fit_output, "signatures.tsv"))
     rho = between_class_correlation(signatures)
-    # only drsl signatures model mapped responses; a fit of another method
-    # into the same directory leaves an earlier drsl fit's mapped files there
+    # only drsl signatures model mapped responses; mapped files beside
+    # another method's fit are not that fit's
     mapped = echo["method"] == "drsl"
     subject_sigs, responses = [], []
     for data, _ in datasets:

@@ -207,6 +207,14 @@ def validate_layer_sizes(sizes: tuple[int, ...]) -> None:
         )
 
 
+def validate_lasso_settings(alpha_lasso: float, iterations: int) -> None:
+    """Reject a LASSO penalty that is negative or not finite, or a cap below 1."""
+    if not 0.0 <= alpha_lasso < np.inf:
+        raise DrslError(f"alpha_lasso must be >= 0 and finite, got {alpha_lasso}")
+    if not iterations >= 1:
+        raise DrslError(f"lasso iterations must be >= 1, got {iterations}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Settings of one run, for every method.
@@ -215,8 +223,9 @@ class FitConfig:
     size 50. ``layer_sizes=None`` derives the architecture from the voxel
     count at fit time. Adam's constants are fixed in :mod:`drsl.optimizer`.
     ``lasso_alpha`` (0.9) and ``lasso_iterations`` (500) are the LASSO
-    baseline's penalty and iteration cap; only that method reads them, and
-    :func:`drsl.baselines.fit_lasso` checks them when it runs.
+    baseline's penalty and iteration cap; only that method reads them, but
+    every config checks them, so that no run records a setting LASSO
+    would refuse.
     """
 
     alpha: float = 10.0
@@ -247,6 +256,7 @@ class FitConfig:
             raise DrslError(f"batch size must be >= 1, got {self.batch_size}")
         if not self.seed >= 0:
             raise DrslError(f"seed must be non-negative, got {self.seed}")
+        validate_lasso_settings(self.lasso_alpha, self.lasso_iterations)
         if self.layer_sizes is not None:
             sizes = tuple(int(s) for s in self.layer_sizes)
             validate_layer_sizes(sizes)

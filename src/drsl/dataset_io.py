@@ -7,8 +7,17 @@ tr, n_scans, conditions, subjects) plus per-subject ``sub-<id>_bold.tsv``
 significant digits so a round trip reproduces every 64-bit value exactly;
 TSV keeps fixtures diffable and checkable by any external tool.
 
+:func:`write_matrix_tsv` writes the bytes of ``"%.17g"`` on each value
+without formatting most values one by one. Where ``"%.17g"`` prints fixed
+notation, 1e-4 <= |x| < 1e17, array arithmetic gets each value's decimal
+exponent and 17 digits exactly: Dekker's error-free two-product gives
+|x| times a power of ten as the sum of two float64s, which is then rounded
+half to even, as the correctly rounded conversion does. Zeros, inf, NaN
+and every other value are formatted by ``"%.17g"`` itself.
+
 Beside each bold TSV, :func:`write_dataset` leaves a binary copy of the
-matrix the TSV parses to, ``sub-<id>_bold.<sha256 of the TSV's bytes>.npy``.
+matrix the TSV parses to, ``sub-<id>_bold.<sha256 of the TSV's bytes>.npy``,
+the hash taken of the bytes as they are written.
 Only a dataset that :func:`write_dataset` wrote, with its TSV unedited
 since, is read from the copy; a dataset written by another tool has no
 copy, and its read lists the directory once per subject and parses the
@@ -134,10 +143,10 @@ def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> Non
         bold = os.path.join(path, _bold_name(data.subject_id))
         for name in _bold_copies(path, data.subject_id):
             os.remove(os.path.join(path, name))
-        write_matrix_tsv(bold, data.responses)
+        digest = write_matrix_tsv(bold, data.responses)
         # the copy holds what the TSV parses to: "%.17g" writes every NaN as
         # nan, and the parse returns a C-ordered array
-        copy = os.path.join(path, _bold_copy_name(data.subject_id, _sha256(bold)))
+        copy = os.path.join(path, _bold_copy_name(data.subject_id, digest))
         parsed = np.where(np.isnan(data.responses), np.nan, data.responses)
         with open(copy, "wb") as fh:
             np.save(fh, np.ascontiguousarray(parsed), allow_pickle=False)
@@ -177,9 +186,147 @@ def _read_manifest(path: str) -> dict:
     return {"tr": tr, "n_scans": n_scans, "conditions": conditions, "subjects": subjects}
 
 
-def write_matrix_tsv(path: str, values: np.ndarray) -> None:
-    """One row per line, tab-separated, no header; 17 digits, as :func:`fmt`."""
-    np.savetxt(path, np.atleast_2d(values), fmt="%.17g", delimiter="\t")
+# The matrix writer formats _BLOCK values at a time, in whole rows, so
+# that its temporaries stay small.
+_BLOCK = 16384
+_POW10 = 10.0 ** np.arange(23)  # 10**s is exact in float64 for s <= 22
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of float64 ``a`` into hi + lo, 26 significant bits each."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# the ASCII text "0000" to "9999" as one uint32 each, its trailing zeros,
+# and for each record length 0..24 a mask of that many bytes as 3 words
+_GROUP_TEXT = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), np.uint32)
+_GROUP_ZEROS = np.array([4 - len(f"{i:04d}".rstrip("0")) for i in range(10_000)])
+_KEEP = np.tril(np.full((25, 24), 0xFF, np.uint8), -1).view(np.uint64)
+
+
+def _scaled(a: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, err)`` with ``p + err == a * 10**(16 - exp)`` exactly (Dekker's two-product)."""
+    s = 16 - exp
+    p = a * _POW10[s]
+    a_hi, a_lo = _split(a)
+    q_hi, q_lo = _POW10_HI[s], _POW10_LO[s]
+    return p, ((a_hi * q_hi - p) + a_hi * q_lo + a_lo * q_hi) + a_lo * q_lo
+
+
+def _fixed_notation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(fast, X, N)`` for magnitudes ``a``: |x| to 17 digits is N * 10**(X - 16).
+
+    ``fast`` marks the values ``"%.17g"`` writes in fixed notation, 1e-4 <=
+    |x| < 1e17, whose decimal exponent X and 17 significant digits N are
+    found exactly: N is the exact product |x| * 10**(16 - X), in [1e16,
+    1e17), rounded half to even. X comes from log10, and a value stays
+    fast only if its product lies in [1e16, 1e17) and N is below 10**17,
+    so that both are right; log10 can round across a power of ten within
+    a few ulps of it.
+    """
+    fast = (a >= 1e-4) & (a < 1e17)  # NaN fails both
+    a = np.where(fast, a, 1.0)
+    exp = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    p, err = _scaled(a, exp)
+    # p >= 1e16 is an even integer, so rounding err half to even rounds N so too
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fast &= ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (digits < 10**17)
+    return fast, exp, digits
+
+
+def _digit_text(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each N, one row each, and N's trailing zeros."""
+    groups = np.empty((5, digits.size), np.intp)  # N's first digit, then four 4-digit groups
+    high8 = digits // 10**8
+    groups[0], rest = np.divmod(high8, 10**8)
+    groups[1], groups[2] = np.divmod(rest, 10**4)
+    groups[3], groups[4] = np.divmod(digits - high8 * 10**8, 10**4)
+    zeros = _GROUP_ZEROS[groups[4]]
+    for k in (3, 2, 1):
+        more = np.flatnonzero(zeros == 4 * (4 - k))
+        zeros[more] += _GROUP_ZEROS[groups[k, more]]
+    # less the first group's padding "000"
+    text = np.ascontiguousarray(np.take(_GROUP_TEXT, groups).T).view(np.uint8)[:, 3:]
+    return text, zeros
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The lines ``"%.17g"`` writes for the rows of the float64 matrix ``block``.
+
+    Values in fixed notation (see :func:`_fixed_notation`) are sorted by
+    (X, sign), and each run of one layout is written with slice copies:
+    the sign, then X + 1 digits, the point and 16 - X digits for X >= 0,
+    or "0.", -X - 1 zeros and 17 digits for X < 0, with the trailing zeros
+    stripped, and the point too when nothing follows it. Zeros, inf, NaN
+    and every other value are formatted by ``"%.17g"`` itself.
+    """
+    values = block.ravel()
+    n, n_cols = values.size, block.shape[1]
+    if not n:
+        return b"\n" * len(block)
+    fast, exp, digits = _fixed_notation(np.abs(values))
+    key = (2 * (exp + 4) + np.signbit(values)).astype(np.int8)
+    key[~fast] = -1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    text, zeros = _digit_text(digits[order])
+
+    buf = np.zeros((n, 24), np.uint8)
+    length = np.zeros(n, np.intp)
+    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1), n]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        if key[lo] < 0:
+            continue
+        exp10, neg = divmod(int(key[lo]) - 8, 2)
+        rows, tail = slice(lo, hi), zeros[lo:hi]
+        if neg:
+            buf[rows, 0] = ord("-")
+        if exp10 >= 0:
+            point = neg + exp10 + 1
+            buf[rows, neg:point] = text[rows, : exp10 + 1]
+            buf[rows, point] = ord(".")
+            buf[rows, point + 1 : neg + 18] = text[rows, exp10 + 1 :]
+            fraction = np.maximum(16 - exp10 - tail, 0)
+            length[rows] = point + np.where(fraction > 0, fraction + 1, 0)
+        else:
+            start = neg + 1 - exp10
+            buf[rows, neg:start] = ord("0")
+            buf[rows, neg + 1] = ord(".")
+            buf[rows, start : start + 17] = text[rows]
+            length[rows] = start + 17 - tail
+    # NUL from each record's length on
+    buf.view(np.uint64)[...] &= np.take(_KEEP, length, axis=0)
+    records = np.empty(n, "S24")
+    records[order] = buf.view("S24")[:, 0]
+    fields = records.tolist()
+    for i, x in zip(np.flatnonzero(~fast), values[~fast].tolist()):
+        fields[i] = b"%.17g" % x
+    lines = [b"\t".join(fields[r * n_cols : (r + 1) * n_cols]) for r in range(len(block))]
+    return b"\n".join(lines) + b"\n"
+
+
+def write_matrix_tsv(path: str, values: np.ndarray) -> str:
+    """One row per line, tab-separated, no header; 17 digits, as :func:`fmt`.
+
+    The bytes are those of ``"%.17g"`` on each value cast to float64 (a
+    1-d array is one row), made a block of rows at a time by
+    :func:`_format_block` without formatting most values one by one.
+    Returns the SHA-256 hex digest of the bytes written.
+    """
+    matrix = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 1-d or 2-d array, got {matrix.ndim}-d")
+    step = max(1, _BLOCK // max(1, matrix.shape[1]))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for top in range(0, matrix.shape[0], step):
+            text = _format_block(matrix[top : top + step])
+            fh.write(text)
+            digest.update(text)
+    return digest.hexdigest()
 
 
 def read_matrix_tsv(path: str) -> np.ndarray:

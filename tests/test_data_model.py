@@ -144,6 +144,16 @@ class TestFitConfig:
         with pytest.raises(DrslError, match=match):
             FitConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("settings,match", [
+        ({"lasso_alpha": float("nan")}, "alpha_lasso must be >= 0 and finite, got nan"),
+        ({"lasso_alpha": float("inf")}, "alpha_lasso must be >= 0 and finite, got inf"),
+        ({"lasso_alpha": -0.5}, "alpha_lasso must be >= 0 and finite, got -0.5"),
+        ({"lasso_iterations": 0}, "lasso iterations must be >= 1, got 0"),
+    ], ids=["alpha-nan", "alpha-inf", "alpha-negative", "iterations-zero"])
+    def test_bad_lasso_setting_rejected_for_every_method(self, settings, match):
+        with pytest.raises(DrslError, match=match):
+            FitConfig(**settings)
+
     def test_nonpositive_batch_size_rejected(self):
         with pytest.raises(DrslError, match="batch size must be >= 1"):
             FitConfig(batch_size=0)

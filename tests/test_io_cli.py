@@ -7,11 +7,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsl.cli import run_cli
 from drsl.data_model import FitConfig, SubjectData
 from drsl.dataset_io import (
+    _BLOCK,
     RunResult,
+    _sha256,
     read_dataset,
     write_dataset,
     write_matrix_tsv,
@@ -173,6 +177,13 @@ class TestBoldCopy:
             expected.append(name)
         assert bold_copies(path) == sorted(expected)
 
+    def test_copy_is_named_by_the_hash_a_read_takes(self, small_dataset):
+        path, ds = small_dataset
+        for subj in ds.subjects:
+            tsv = os.path.join(path, f"sub-{subj.subject_id}_bold.tsv")
+            name = f"sub-{subj.subject_id}_bold.{_sha256(tsv)}.npy"
+            assert os.path.isfile(os.path.join(path, name))
+
     def test_copy_is_read_in_place_of_the_parse(self, small_dataset):
         path, ds = small_dataset
         (name,) = [n for n in bold_copies(path) if n.startswith("sub-02_")]
@@ -322,6 +333,42 @@ class TestWriteMatrixTsv:
         write_matrix_tsv(str(path), values)
         assert path.read_bytes() == reference_matrix_tsv(values)
 
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.floats(allow_nan=False).map(lambda x: struct.unpack("<Q", struct.pack("<d", x))[0]),
+    ), min_size=1, max_size=40))
+    def test_any_bit_pattern_matches_reference_writer(self, tmp_path_factory, bits):
+        # every float64: subnormals, NaN payloads of either sign, and the
+        # fixed-notation window the vectorized path covers
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        path = tmp_path_factory.getbasetemp() / "bits.tsv"
+        write_matrix_tsv(str(path), values)
+        assert path.read_bytes() == reference_matrix_tsv(values)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, np.inf, -np.inf, 5e-324, 1e-4, np.nextafter(1e-4, 0),
+        *[near for power in (float(f"1e{e}") for e in range(-6, 19))
+          for near in (np.nextafter(power, 0), power, np.nextafter(power, np.inf))],
+        np.nextafter(1e17, 0), 1234567890123456.75, 1234567890123456.25,
+    ])
+    def test_edge_values_match_reference_writer(self, tmp_path, value):
+        values = np.array([[value, -value]])
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(str(path), values)
+        assert path.read_bytes() == reference_matrix_tsv(values)
+
+    @pytest.mark.parametrize("shape", [(_BLOCK // 100 * 3 + 7, 100), (3, _BLOCK + 5), (4, 0)],
+                             ids=["taller-than-a-block", "wider-than-a-block", "no-columns"])
+    def test_blocks_join_into_the_reference_bytes(self, tmp_path, shape):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 19, shape)
+        values.flat[::97] = 0.0
+        path = tmp_path / "m.tsv"
+        digest = write_matrix_tsv(str(path), values)
+        assert path.read_bytes() == reference_matrix_tsv(values)
+        assert digest == _sha256(str(path))
+
 
 class TestWriteResults:
     def make_result(self):
@@ -450,6 +497,21 @@ class TestCli:
         for table in ("correlation.csv", "mse.csv"):
             assert open(os.path.join(eval_out, table)).read() == open(
                 os.path.join(fit_out, table)).read()
+
+    def test_fit_of_another_method_removes_the_subjects_mapped_files(self, tmp_path):
+        data_dir = str(tmp_path / "d")
+        run(["synth", "--subjects", "2", "--scans", "80", "--voxels", "12",
+             "--seed", "1", "--out", data_dir])
+        fit_out = tmp_path / "fit"
+        assert run(["fit", "--dataset", data_dir, "--method", "drsl", "--alpha", "1",
+                    "--m1", "1", "--m2", "5", "--batch", "20", "--layers", "8,6,4",
+                    "--out", str(fit_out)]) == 0
+        assert sorted(p.name for p in fit_out.glob("*_mapped.tsv")) == [
+            "sub-01_mapped.tsv", "sub-02_mapped.tsv"]
+        (fit_out / "sub-03_mapped.tsv").write_text("1\n")  # not a subject of the dataset
+        assert run(["fit", "--dataset", data_dir, "--method", "glm",
+                    "--out", str(fit_out)]) == 0
+        assert sorted(p.name for p in fit_out.glob("*_mapped.tsv")) == ["sub-03_mapped.tsv"]
 
     def test_eval_of_drsl_needs_the_mapped_files(self, tmp_path, capsys):
         data_dir = str(tmp_path / "d")
@@ -619,10 +681,17 @@ class TestCli:
             (["fit", "--method", "lasso", "--lasso-alpha", "inf"],
              "alpha_lasso must be >= 0 and finite, got inf"),
             (["synth", "--tr", "inf"], "tr must be > 0 and finite, got inf"),
+            (["fit", "--method", "glm", "--lasso-alpha", "nan"],
+             "alpha_lasso must be >= 0 and finite, got nan"),
+            (["fit", "--method", "glm", "--lasso-iters", "-5"],
+             "lasso iterations must be >= 1, got -5"),
+            (["cv", "--method", "lrsl", "--lasso-alpha", "-1"],
+             "alpha_lasso must be >= 0 and finite, got -1.0"),
         ],
         ids=["synth-tr", "synth-snr", "lasso-alpha", "layers", "schedule",
              "schedule-nonpositive", "iters-m2-zero", "lasso-iters", "drsl-m1-zero",
-             "lrsl-alpha-inf", "drsl-eta-inf", "lasso-alpha-inf", "synth-tr-inf"],
+             "lrsl-alpha-inf", "drsl-eta-inf", "lasso-alpha-inf", "synth-tr-inf",
+             "glm-lasso-alpha-nan", "glm-lasso-iters", "lrsl-cv-lasso-alpha"],
     )
     def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, argv, message):
         data_dir = str(tmp_path / "d")
