@@ -5,7 +5,7 @@ gradient checks used throughout the test suite need ~1e-6 relative
 precision, which float32 cannot deliver. The one exception is
 :class:`NetworkParameters`, which also serves as the kernel's writable
 float32 training buffers inside :mod:`drsl.optimizer`; a fitted network
-is read-only float64 like the rest.
+keeps the float32 it trained in, and is read-only like the rest.
 """
 
 from __future__ import annotations
@@ -141,10 +141,12 @@ class NetworkParameters:
     ``layers`` a (w, b) view per layer into it, so an optimizer can update
     the whole network with vector operations.
 
-    Built from ``layers`` in float64, the vector is a read-only copy: a
-    fitted network, which several results may share. In any other dtype, or
-    from ``layers=None`` (all zeros), it is writable: training keeps theta
-    and its gradient in :data:`drsl.optimizer.TRAIN_DTYPE` ones.
+    Writability: built from ``layers`` in float64, the vector is a
+    read-only copy. In any other dtype, or from ``layers=None`` (all zeros),
+    it is writable: training keeps theta and its gradient in
+    :data:`drsl.optimizer.TRAIN_DTYPE` ones. :meth:`freeze` makes a network
+    read-only in place; every fitted network is frozen, float32 ones
+    included, because several results may share it.
     """
 
     def __init__(self, layers, layer_sizes, dtype=np.float64):
@@ -178,12 +180,18 @@ class NetworkParameters:
             vw[...] = w
             vb[...] = b
         if self.flat.dtype == np.float64:
-            for a in (self.flat, *(a for layer in views for a in layer)):
-                a.setflags(write=False)
+            self.freeze()
+
+    def freeze(self) -> NetworkParameters:
+        """Make the vector and every layer view read-only, in place; returns self."""
+        for a in (self.flat, *(a for layer in self.layers for a in layer)):
+            a.setflags(write=False)
+        return self
 
     def astype(self, dtype) -> NetworkParameters:
-        """A copy in ``dtype``, read-only in float64 and writable otherwise;
-        writing to either network leaves the other as it was."""
+        """A copy in ``dtype``, read-only in float64 and writable otherwise,
+        whether or not this network is frozen; writing to either network
+        leaves the other as it was."""
         return NetworkParameters(self.layers, self.layer_sizes, dtype)
 
     @property

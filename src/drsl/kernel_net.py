@@ -12,10 +12,12 @@ standardization is affine per output feature, it folds exactly into the
 output layer once a run's statistics are known
 (:func:`fold_output_standardization`).
 
-:func:`forward`, the standardization and :func:`backprop_output_grad`
-compute in the dtype of the :class:`NetworkParameters` they are given,
-float32 or float64: training passes float32 ones and batches, and a
-fitted network is float64 and maps in float64.
+:func:`forward` computes in the wider of its batch's dtype and the
+:class:`NetworkParameters`' dtype, and the standardization and
+:func:`backprop_output_grad` follow the arrays they are given: training
+passes float32 networks and batches and computes in float32, and a fitted
+float32 network maps a float64 run in float64, exactly as its float64 copy
+would.
 
 A forward pass records only its activations h_1..h_C, the batch first and
 the output last; each hidden activation is applied in place to its layer's
@@ -113,11 +115,14 @@ def forward(
     batch as cast (the caller's own array when no cast is needed) first and
     ``output`` itself last. Hidden layers apply the activation
     componentwise, in place on their affine output; the output layer is
-    affine. Neither ``batch`` nor ``params`` is written to. The batch is
-    cast to the dtype of ``params``, which every intermediate value keeps.
+    affine. Neither ``batch`` nor ``params`` is written to. Every value is
+    computed in the wider of the two dtypes: the batch is cast to it, and
+    each layer's weights are widened to it one layer at a time, so a
+    float32 network maps a float64 batch bit for bit as its float64 copy.
     """
     activation = Activation(activation)
-    x = np.asarray(batch, dtype=params.layers[0][0].dtype)
+    x = np.asarray(batch)
+    x = x.astype(np.result_type(x.dtype, params.flat.dtype), copy=False)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeMismatch(
             f"batch has shape {x.shape}, expected (n, {params.input_dim})"
@@ -125,7 +130,7 @@ def forward(
     acts = [x]
     last = len(params.layers) - 1
     for m, (w, b) in enumerate(params.layers):
-        h = acts[-1] @ w.T
+        h = acts[-1] @ w.astype(x.dtype, copy=False).T
         h += b
         acts.append(h if m == last else _apply_activation(h, activation))
     return acts[-1], tuple(acts)

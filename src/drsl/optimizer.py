@@ -11,11 +11,15 @@ objective is a convex elastic net in B once theta is fixed.
 
 The kernel trains in :data:`TRAIN_DTYPE` (float32): theta and its
 gradient (writable ``NetworkParameters``), the Adam moments and the
-gathered batches. B, the design, the objective, the B solve, the returned
-read-only float64 ``NetworkParameters`` and the mapped run stay float64;
-float32 theta widens to float64 exactly, so carrying it across outer
-iterations loses nothing. Adam's constants are those of Kingma & Ba
-(2015): :data:`ADAM_MU1`, :data:`ADAM_MU2` and :data:`ADAM_EPSILON`.
+gathered batches. Theta is returned in the array it trained in, frozen
+read-only, and carries over to the next outer iteration as it is. B, the
+design, the objective, the B solve and the mapped run stay float64:
+:func:`drsl.kernel_net.forward` maps a float64 run in float64, widening
+each layer's float32 weights exactly. A group fit allocates the gradient
+and the Adam moments once and reuses them for every subject fit, and
+keeps only each subject's latest theta. Adam's constants are those of
+Kingma & Ba (2015): :data:`ADAM_MU1`, :data:`ADAM_MU2` and
+:data:`ADAM_EPSILON`.
 
 Held-out adaptation (:func:`fit_kernel_params`) is the same kernel loop
 without the B solve. The outer loop re-fits every subject from the current
@@ -206,8 +210,9 @@ def sample_batch(rng: np.random.Generator, t: int, n: int) -> np.ndarray:
 
 # elements per block of adam_step: each block's slices of theta, the
 # gradient, both moments and the two scratch arrays stay in cache across
-# the update's dozen passes; 16,384 measured best against 4,096-65,536
-ADAM_BLOCK = 16_384
+# the update's dozen passes. Timed in float32 on the 2.05 M parameters of
+# the paper net, one thread: 65,536 beat 16,384, 32,768 and 131,072
+ADAM_BLOCK = 65_536
 
 
 class AdamState:
@@ -215,7 +220,7 @@ class AdamState:
 
     ``delta`` (first moment) and ``gamma`` (second moment) start at zero
     and :func:`adam_step` updates them in place; ``step_count`` counts the
-    steps taken.
+    steps taken. :meth:`reset` starts them over for another fit.
     """
 
     def __init__(self, theta: NetworkParameters):
@@ -223,6 +228,12 @@ class AdamState:
         self.gamma = np.zeros_like(theta.flat)
         self.step_count = 0
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.delta.size)), dtype=self.delta.dtype)
+
+    def reset(self) -> None:
+        """Zero both moments and the step count, in place."""
+        self.delta.fill(0.0)
+        self.gamma.fill(0.0)
+        self.step_count = 0
 
 
 def adam_step(
@@ -320,6 +331,12 @@ def _resolve_sizes(config: FitConfig, v_org: int) -> tuple[int, ...]:
     return sizes
 
 
+def _train_buffers(sizes) -> tuple[NetworkParameters, AdamState]:
+    """A :data:`TRAIN_DTYPE` gradient buffer and Adam state for a kernel of ``sizes``."""
+    grads = NetworkParameters(None, sizes, TRAIN_DTYPE)
+    return grads, AdamState(grads)
+
+
 def _train(
     data: SubjectData,
     design: DesignMatrix,
@@ -328,15 +345,18 @@ def _train(
     rng: np.random.Generator,
     where: str,
     initial_params: NetworkParameters | None = None,
+    buffers: tuple[NetworkParameters, AdamState] | None = None,
 ) -> tuple[NetworkParameters, np.ndarray]:
     """The kernel loop of one subject: M2 Adam steps on theta, B frozen.
 
     Per iteration: draw a batch, log the batch objective with its data term
     weighted by T / n, then take an Adam step on theta against the targets
-    d_i B. Theta starts from a copy of ``initial_params`` when given,
-    otherwise from a fresh draw, and trains in :data:`TRAIN_DTYPE` buffers
-    that no caller sees, on batches gathered from X cast once. Returns
-    theta, read-only float64, and the loss history. A non-finite
+    d_i B. Theta is a fresh :data:`TRAIN_DTYPE` copy of ``initial_params``
+    when given, otherwise of a fresh draw, and trains in place on batches
+    gathered from X cast once. The gradient and the Adam state are
+    ``buffers`` (from :func:`_train_buffers`; reset here, so one pair
+    serves many fits), or fresh ones when None. Returns theta, frozen
+    read-only in :data:`TRAIN_DTYPE`, and the loss history. A non-finite
     loss raises :class:`NonFinite` naming the subject, ``where`` and the
     step.
     """
@@ -359,8 +379,8 @@ def _train(
         raise ShapeMismatch(
             f"B has {b.shape[1]} columns but the kernel outputs {theta.output_dim}"
         )
-    grads = NetworkParameters(None, theta.layer_sizes, TRAIN_DTYPE)
-    state = AdamState(theta)
+    grads, state = buffers if buffers is not None else _train_buffers(theta.layer_sizes)
+    state.reset()
 
     weight = t / config.batch_size
     # B is frozen, so its penalty is one number per fit
@@ -378,7 +398,7 @@ def _train(
                 f"loss {losses[k]!r} (try a smaller eta)"
             )
         adam_step(state, grads, theta, config.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
-    return theta.astype(np.float64), losses
+    return theta.freeze(), losses
 
 
 def _batch_gradient(
@@ -416,19 +436,23 @@ def fit_subject(
     rng: np.random.Generator | None = None,
     initial_params: NetworkParameters | None = None,
     outer: int = 0,
+    *,
+    _buffers: tuple[NetworkParameters, AdamState] | None = None,
 ) -> SubjectFit:
     """Fit theta against B frozen at ``b_init``, then B exactly from ``b_init``.
 
-    The B solve (:func:`signature_step`) maps the whole run once, to
-    ``mapped_responses`` f = standardize_outputs(forward(params, X)).
-    ``params`` is a read-only copy of the raw network, which
+    The B solve (:func:`signature_step`) maps the whole run once, in
+    float64, to ``mapped_responses`` f = standardize_outputs(forward(params,
+    X)). ``params`` is the raw network, read-only float32, which
     :func:`drsl.kernel_net.fold_output_standardization` turns into the
     fitted kernel. A divergence names ``outer`` as its outer iteration.
+    ``_buffers`` is internal: :func:`fit` passes every subject fit the
+    same gradient buffer and Adam state (see :func:`_train`).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     where = f"outer iteration {outer}"
-    params, losses = _train(data, design, b_init, config, rng, where, initial_params)
+    params, losses = _train(data, design, b_init, config, rng, where, initial_params, _buffers)
     mapped = standardize_outputs(forward(params, data.responses, config.activation)[0])[0]
     b = signature_step(b_init, design.values, mapped, config.alpha, config.regularizer)
     if not np.all(np.isfinite(b)):
@@ -473,7 +497,9 @@ def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> Group
     frozen B of its kernel loop and the warm start of its B solve) with
     theta carried over from the subject's previous outer iteration (drawn
     fresh in the first), then replaces the group signatures with the
-    subject mean.
+    subject mean. Every subject fit trains in one gradient buffer and Adam
+    state. Of a subject's previous fit only theta is kept, and only until
+    it has seeded the subject's next fit.
 
     ``first_fits`` shares outer-iteration-0 subject fits between calls on
     overlapping dataset lists. Such a fit depends only on the subject's
@@ -488,12 +514,13 @@ def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> Group
     holds at most 2(S-1) fits: subject s sits at index s-1 or s.
     """
     conditions, v_org, p = check_group(datasets)
-    v = _resolve_sizes(config, v_org)[-1]
+    sizes = _resolve_sizes(config, v_org)
 
     init_rng = seed_stream(config.seed, _STREAM_GROUP_INIT)
-    b_tilde = init_rng.standard_normal((p, v))
-    fits: tuple[SubjectFit, ...] = ()
+    b_tilde = init_rng.standard_normal((p, sizes[-1]))
+    buffers = _train_buffers(sizes)
     thetas: list[NetworkParameters | None] = [None] * len(datasets)
+    subject_fits: list[SubjectFit] = []
 
     for outer in range(config.m1):
         b_start = SignatureMatrix(values=b_tilde, conditions=conditions)
@@ -511,14 +538,14 @@ def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> Group
                     rng=seed_stream(config.seed, _STREAM_SUBJECT, outer, idx),
                     initial_params=thetas[idx],
                     outer=outer,
+                    _buffers=buffers,
                 )
             subject_fits.append(fitted[key])
-        fits = tuple(subject_fits)
-        thetas = [f.params for f in fits]
-        b_tilde = np.mean([f.signatures.values for f in fits], axis=0)
+            thetas[idx] = fitted[key].params
+        b_tilde = np.mean([f.signatures.values for f in subject_fits], axis=0)
 
     signatures = SignatureMatrix(values=b_tilde, conditions=conditions)
-    return GroupFit(signatures=signatures, subject_fits=fits)
+    return GroupFit(signatures=signatures, subject_fits=tuple(subject_fits))
 
 
 def fit_kernel_params(

@@ -394,6 +394,20 @@ class TestFloat32:
         assert all(a.dtype == np.float32 for a in activations)
         np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_float32_network_maps_a_float64_batch_as_its_float64_copy(self, activation):
+        # a fitted kernel is float32 and maps whole runs, which are float64
+        _, flat = self.nets()
+        x = np.random.default_rng(3).standard_normal((13, 30))
+        before = flat.flat.tobytes()
+        got, activations = forward(flat, x, activation)
+        expected, expected_acts = forward(flat.astype(np.float64), x, activation)
+        assert activations[0] is x
+        assert got.dtype == np.float64 and all(a.dtype == np.float64 for a in activations)
+        for a, e in zip(activations, expected_acts, strict=True):
+            np.testing.assert_array_equal(a, e)
+        assert flat.flat.tobytes() == before
+
     def test_standardization_stays_float32_and_matches_float64(self):
         z = np.random.default_rng(4).standard_normal((40, 7)) * 3.0 + 1.0
         g = np.random.default_rng(5).standard_normal((40, 7))

@@ -249,9 +249,9 @@ class TestAdamStep:
             assert params.layers[0][0][0, 0] == pytest.approx(expected[k], abs=1e-12)
 
     def test_bit_identical_to_functional_reference_across_blocks(self):
-        # 35,920 parameters: the block boundary at ADAM_BLOCK falls inside
+        # 132,960 parameters: the block boundary at ADAM_BLOCK falls inside
         # the first weight matrix, the first layer boundary inside block 2
-        sizes = (200, 120, 90, 10)
+        sizes = (400, 200, 250, 10)
         params, state = self.make(seed=3, sizes=sizes)
         n_first = sizes[1] * (sizes[0] + 1)
         assert ADAM_BLOCK < sizes[1] * sizes[0] < n_first < 2 * ADAM_BLOCK < params.flat.size
@@ -281,7 +281,7 @@ class TestAdamStep:
     def test_float32_buffers_match_functional_reference_across_blocks(self):
         # as the bit-identical test above, with float32 theta, gradient and
         # moments against the float64 reference
-        sizes = (200, 120, 90, 10)
+        sizes = (400, 200, 250, 10)
         params64 = init_params(sizes, "scaled_normal", seed=3)
         params = params64.astype(np.float32)
         state = AdamState(params)
@@ -487,7 +487,7 @@ class TestFitSubject:
         SubjectFit(deep.signatures, None, np.empty(0), own)
         assert own.flags.writeable
 
-    def test_kernel_trains_in_float32_and_returns_float64(self, monkeypatch):
+    def test_kernel_trains_and_is_returned_in_float32(self, monkeypatch):
         import drsl.optimizer as opt
 
         seen = []
@@ -506,8 +506,10 @@ class TestFitSubject:
         assert (ADAM_MU1, ADAM_MU2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
         constants = (cfg.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
         assert seen == [(*(np.float32,) * 4, constants)] * cfg.m2
-        for a in (a for layer in out.params.layers for a in layer):
-            assert a.dtype == np.float64 and not a.flags.writeable
+        # theta is the float32 array it trained in, frozen; the run maps in float64
+        assert not out.params.flat.flags.writeable
+        for a in (out.params.flat, *(a for layer in out.params.layers for a in layer)):
+            assert a.dtype == np.float32 and not a.flags.writeable
         assert out.mapped_responses.dtype == out.signatures.values.dtype == np.float64
 
     def test_loss_history_length(self):
@@ -635,6 +637,30 @@ class TestGroupFit:
                 np.testing.assert_array_equal(a, b)
         for a, b in zip(weights(first), kept):
             np.testing.assert_array_equal(a, b)
+
+
+    def test_group_fit_holds_about_ten_kernels_at_its_peak(self):
+        # what a 4-subject fit must hold: a float32 theta per subject, one
+        # gradient and two Adam moments shared by every subject fit, and the
+        # next theta, initial draw included, while it trains. A float64
+        # copy per fit, an old fit kept beside each new one, or buffers made
+        # per subject fit would each add kernels. T is kept small, so the
+        # run-sized arrays stay small beside a kernel. The first call warms
+        # up caches that a second, identical call does not allocate again.
+        import tracemalloc
+
+        sizes = (400, 300, 200, 100)
+        kernel_bytes = 4 * sum(u * (v + 1) for v, u in zip(sizes[:-1], sizes[1:]))
+        pairs = [make_subject(t=100, v=400, seed=s) for s in range(4)]
+        cfg = FitConfig(m1=2, m2=3, batch_size=50, layer_sizes=sizes, seed=0)
+        fit(pairs, cfg)
+        tracemalloc.start()
+        try:
+            fit(pairs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * kernel_bytes, f"peak {peak / kernel_bytes:.1f} kernels"
 
 
 class TestSeedStream:
