@@ -14,13 +14,12 @@ frozen group signatures, and every method is scored on the dominant time
 points of the second part only.
 
 The deep model's folds share their first outer iteration's subject fits.
-Such a fit sees only its own subject's data and design, its position in
-the fold's training list (its seed stream), the config and the start B
-drawn from the config seed, so subject s fits identically in every fold
-where it sits at the same position: s-1 in folds before s, s in folds
-after. A call therefore fits 2(S-1) distinct first-iteration subjects
-instead of S(S-1), keeps at most those 2(S-1) fits until it returns, and
-reports bit for bit what refitting every fold would.
+Such a fit sees only its own subject's data and design, its id (which
+keys its seed stream), the config and the start B drawn from the config
+seed, so subject s fits identically in every fold that trains on it,
+wherever it sits in the fold's training list. A call therefore fits S
+first-iteration subjects instead of S(S-1), keeps at most those S fits
+until it returns, and reports bit for bit what refitting every fold would.
 """
 
 from __future__ import annotations
@@ -33,13 +32,12 @@ from .baselines import fit_glm, fit_lasso, fit_lrsl
 from .data_model import DesignMatrix, FitConfig, SignatureMatrix, SubjectData
 from .errors import DrslError, NonFinite, ShapeMismatch
 from .kernel_net import fold_output_standardization, forward
-from .optimizer import GroupFit, check_group, fit, fit_kernel_params, seed_stream
+from .optimizer import GroupFit, check_group, fit, fit_kernel_params
 
 METHODS = ("drsl", "lrsl", "glm", "lasso")
 
 _RESIDUAL_FLOOR = 1e-8
 _DOMINANCE_FRACTION = 0.5
-_STREAM_CV_ADAPT = 3
 
 
 def _as_responses(data) -> np.ndarray:
@@ -382,18 +380,21 @@ def cross_validate(datasets, method: str, config: FitConfig) -> CvReport:
     For the deep model the subject's kernel is first adapted on the first
     half (its outputs standardized over those scans) and then maps the
     scored scans; no scored scan or its label reaches the adaptation.
-    A batch larger than any subject's first half is rejected before any
-    fold is fitted.
+    A batch larger than any subject's first half, or a subject list that
+    :func:`drsl.optimizer.check_group` refuses, is rejected before any
+    fold is fitted. The held-out kernel adapts on the subject's own
+    adaptation stream.
 
     The deep model's folds share one ``first_fits`` dict
     (:func:`drsl.optimizer.fit`), keyed by the identity of each subject's
-    data and design and its index in the fold's training list. It holds
-    at most 2(S-1) first-outer-iteration fits for the length of the call,
-    each with its theta and mapped run; later outer iterations start from
-    the fold's own group mean and are refitted per fold.
+    data and design. It holds at most S first-outer-iteration fits for the
+    length of the call, each with its theta and mapped run; later outer
+    iterations start from the fold's own group mean and are refitted per
+    fold.
     """
     if len(datasets) < 2:
         raise ShapeMismatch(f"cross-validation needs >= 2 subjects, got {len(datasets)}")
+    check_group(datasets)
     first_fits = None
     if method == "drsl":
         for data, _ in datasets:
@@ -435,7 +436,6 @@ def cross_validate(datasets, method: str, config: FitConfig) -> CvReport:
                 ),
                 signatures,
                 config,
-                rng=seed_stream(config.seed, _STREAM_CV_ADAPT, fold),
             ).params
             theta = fold_output_standardization(theta, adapt_x, config.activation)
             test_responses, _ = forward(theta, test_data.responses[idx], config.activation)

@@ -150,19 +150,23 @@ def standardize_outputs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     the total removed.
     """
     z = np.asarray(z)
-    mean = z.mean(axis=0)
+    n = z.shape[0]
+    # np.add.reduce, here and in the backward pass, skips np.mean's Python
+    # wrapper, which costs as much as the sum on a small batch
+    mean = np.add.reduce(z, axis=0) / n
     centered = z - mean
-    residue = centered.mean(axis=0)
+    residue = np.add.reduce(centered, axis=0) / n
     centered -= residue
     mean += residue
-    scale = np.sqrt(np.mean(centered * centered, axis=0) + _STANDARDIZE_EPS)
+    scale = np.sqrt(np.add.reduce(centered * centered, axis=0) / n + _STANDARDIZE_EPS)
     return centered / scale, scale, mean
 
 
 def standardize_backward(grad_y: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Exact gradient through :func:`standardize_outputs`, given dL/dy."""
     g = np.asarray(grad_y)
-    return (g - g.mean(axis=0) - y * np.mean(g * y, axis=0)) / scale
+    n = g.shape[0]
+    return (g - np.add.reduce(g, axis=0) / n - y * (np.add.reduce(g * y, axis=0) / n)) / scale
 
 
 def fold_output_standardization(
@@ -212,7 +216,7 @@ def backprop_output_grad(
         w, _ = params.layers[m]
         gw, gb = out.layers[m]
         np.matmul(delta.T, activations[m], out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if m > 0:
             delta = (delta @ w) * _activation_derivative(activations[m], activation)
     return out

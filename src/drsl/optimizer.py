@@ -29,7 +29,11 @@ raises :class:`NonFinite` at the step where it happens.
 
 Group fits are deterministic for a fixed config: every subject fit draws
 from its own seed stream derived from (master seed, outer iteration,
-subject index), and subjects are fitted and averaged in subject order.
+subject id) by :func:`subject_stream`, and subjects are fitted and
+averaged in subject order. A subject's stream does not depend on its
+position in the list, so its first outer iteration fits the same in any
+list that holds it; ids must therefore be unique within a group
+(:func:`check_group`).
 """
 
 from __future__ import annotations
@@ -78,8 +82,19 @@ ADAM_EPSILON = 1e-8
 
 
 def seed_stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, key...); used for per-subject streams."""
+    """Independent generator for (seed, key...)."""
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
+
+
+def subject_stream(seed: int, subject_id: str, tag: int, *key: int) -> np.random.Generator:
+    """The stream ``tag`` of subject ``subject_id``: (seed, tag, key..., len(b), *b).
+
+    b is the id's UTF-8 bytes. The length prefix keeps the key injective
+    for a fixed tag and key count, so ids such as "1" and "01" or "a" and
+    "ab" draw from different streams, and one id always from the same.
+    """
+    b = subject_id.encode()
+    return seed_stream(seed, tag, *key, len(b), *b)
 
 
 def _signature_array(b) -> np.ndarray:
@@ -136,7 +151,7 @@ def objective(
 def _data_term(f_outputs: np.ndarray, targets: np.ndarray, data_weight: float) -> float:
     """w * ||f - targets||^2 in float64; a float32 ``f_outputs`` widens exactly."""
     resid = f_outputs - targets
-    return data_weight * float(np.sum(resid * resid))
+    return data_weight * float(np.add.reduce(resid * resid, axis=None))
 
 
 def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -446,11 +461,13 @@ def fit_subject(
     X)). ``params`` is the raw network, read-only float32, which
     :func:`drsl.kernel_net.fold_output_standardization` turns into the
     fitted kernel. A divergence names ``outer`` as its outer iteration.
+    With no ``rng`` the fit draws from the subject's own stream for
+    ``outer`` (:func:`subject_stream`), which :func:`fit` relies on.
     ``_buffers`` is internal: :func:`fit` passes every subject fit the
     same gradient buffer and Adam state (see :func:`_train`).
     """
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = subject_stream(config.seed, data.subject_id, _STREAM_SUBJECT, outer)
     where = f"outer iteration {outer}"
     params, losses = _train(data, design, b_init, config, rng, where, initial_params, _buffers)
     mapped = standardize_outputs(forward(params, data.responses, config.activation)[0])[0]
@@ -469,13 +486,21 @@ def fit_subject(
 
 
 def check_group(datasets) -> tuple[tuple[str, ...], int, int]:
-    """Validate a multi-subject dataset list; returns (conditions, V_org, P)."""
+    """Validate a multi-subject dataset list; returns (conditions, V_org, P).
+
+    Subject ids must be unique: each keys the subject's seed streams, so
+    two subjects sharing one would draw the same batches.
+    """
     if not datasets:
         raise ShapeMismatch("no subjects to fit")
     conditions = datasets[0][1].conditions
     v_org = datasets[0][0].n_voxels
+    seen = set()
     for data, design in datasets:
         validate_pair(data, design)
+        if data.subject_id in seen:
+            raise DrslError(f"subject {data.subject_id!r} appears twice")
+        seen.add(data.subject_id)
         if design.conditions != conditions:
             raise ShapeMismatch(
                 f"subject {data.subject_id!r} has conditions {design.conditions}, "
@@ -503,15 +528,15 @@ def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> Group
 
     ``first_fits`` shares outer-iteration-0 subject fits between calls on
     overlapping dataset lists. Such a fit depends only on the subject's
-    data and design, its index in ``datasets`` (its seed stream), the
-    config and the start B, which the config seed alone draws; so the fit
-    found under the key ``(id(data), id(design), index)`` is the one this
-    call would compute, bit for bit. Misses are computed and stored; later
-    outer iterations start from this call's own group mean and are never
-    shared. One dict serves one config, and must not outlive the data and
-    design objects whose ids it holds.
+    data and design (its id keys its seed stream), the config and the start
+    B, which the config seed alone draws, and not on the subject's place in
+    ``datasets``; so the fit found under the key ``(id(data), id(design))``
+    is the one this call would compute, bit for bit. Misses are computed
+    and stored; later outer iterations start from this call's own group
+    mean and are never shared. One dict serves one config, and must not
+    outlive the data and design objects whose ids it holds.
     :func:`drsl.evaluation.cross_validate` keeps one per call, where it
-    holds at most 2(S-1) fits: subject s sits at index s-1 or s.
+    holds at most S fits, one per subject.
     """
     conditions, v_org, p = check_group(datasets)
     sizes = _resolve_sizes(config, v_org)
@@ -528,14 +553,13 @@ def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> Group
         fitted = first_fits if outer == 0 and first_fits is not None else {}
         subject_fits = []
         for idx, (data, design) in enumerate(datasets):
-            key = (id(data), id(design), idx)
+            key = (id(data), id(design))
             if key not in fitted:
                 fitted[key] = fit_subject(
                     data,
                     design,
                     b_start,
                     config,
-                    rng=seed_stream(config.seed, _STREAM_SUBJECT, outer, idx),
                     initial_params=thetas[idx],
                     outer=outer,
                     _buffers=buffers,
@@ -560,9 +584,10 @@ def fit_kernel_params(
     The targets d_i B come from the frozen group signatures, so the
     subject's responses never influence B; the fit's ``signatures`` are B
     as passed in. Callers that score scans pass only the scans set aside
-    for adaptation.
+    for adaptation. With no ``rng`` the fit draws from the subject's own
+    adaptation stream (:func:`subject_stream`).
     """
     if rng is None:
-        rng = seed_stream(config.seed, _STREAM_ADAPT)
+        rng = subject_stream(config.seed, data.subject_id, _STREAM_ADAPT)
     params, losses = _train(data, design, signatures, config, rng, "kernel adaptation")
     return SubjectFit(signatures=signatures, params=params, loss_history=losses)

@@ -13,7 +13,7 @@ import numpy as np
 
 from drsl.baselines import fit_glm, fit_lrsl
 from drsl.cli import run_cli
-from drsl.data_model import FitConfig, RegularizerMode
+from drsl.data_model import FitConfig, RegularizerMode, SubjectData, standardize_columns
 from drsl.evaluation import (
     between_class_correlation,
     build_hyperplanes,
@@ -280,6 +280,82 @@ def test_criterion_6_nonlinear_advantage_over_linear_ablation():
         "accuracy can beat it by 5 points"
     )
     assert mean_drsl >= mean_lrsl + 0.05
+
+
+# Criterion 6b's fixed kernels, chosen before its first run: random Fourier
+# features of a Gaussian kernel (Rahimi & Recht, 2007) at each bandwidth
+# multiplier and width, plus every degree-2 monomial with x.
+_RFF_SIGMA_MULTIPLIERS = (0.5, 1.0, 2.0)
+_RFF_WIDTHS = (96, 1000)
+_RFF_SEED = 6
+
+
+def _fixed_kernel_features(x):
+    """(name, features) of one subject's (T, V) scans under each fixed kernel.
+
+    Every subject gets the same W and phases, drawn from ``_RFF_SEED``; the
+    bandwidth sigma scales the subject's median pairwise scan distance.
+    """
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    median = float(np.median(np.sqrt(np.maximum(d2[np.triu_indices(x.shape[0], 1)], 0.0))))
+    rng = np.random.default_rng(_RFF_SEED)
+    features = []
+    for width in _RFF_WIDTHS:
+        w = rng.standard_normal((x.shape[1], width))
+        phase = rng.uniform(0.0, 2.0 * np.pi, width)
+        for mult in _RFF_SIGMA_MULTIPLIERS:
+            rff = np.sqrt(2.0 / width) * np.cos(x @ w / (mult * median) + phase)
+            features.append((f"RFF D {width}, sigma x {mult}", rff))
+    first, second = np.triu_indices(x.shape[1])
+    features.append(("degree-2 monomials", np.hstack([x, x[:, first] * x[:, second]])))
+    return features
+
+
+def test_criterion_6b_learned_kernel_beats_fixed_gaussian_kernel():
+    # The paper's claim that a kernel learned per subject beats a fixed
+    # nonlinear kernel such as the Gaussian. Each fixed map acts per scan,
+    # so the held-out subject needs no adaptation: its columns are
+    # standardized and criterion 6's lrsl runs on them unchanged. drsl
+    # must beat the best fixed kernel by 5 points, on criterion 6's data,
+    # seeds and configs. The run should take under 30 s; it is reported,
+    # not asserted: criterion 6's drsl CV alone takes about two thirds of
+    # it, and a loaded machine would fail a timing bound that close.
+    t0 = time.perf_counter()
+    drsl_accs, fixed_accs = [], {}
+    for seed in range(5):
+        spec = SynthSpec(
+            n_subjects=6, n_scans=480, n_voxels=24, n_conditions=4, snr=2.0,
+            nonlinearity="quadratic_mix", signature_style="correlated", rho=0.9,
+            seed=seed, tr=0.5, block_scans=8, rest_scans=24, quadratic_gain=1.0,
+        )
+        ds = generate_dataset(spec)
+        lrsl_cfg = FitConfig(alpha=1.0, eta=1e-3, m1=1, m2=350, batch_size=240, seed=seed)
+        drsl_cfg = FitConfig(
+            layer_sizes=(24, 96, 96, 12), activation="tanh", init="paper_normal",
+            alpha=1.0, eta=3e-3, m1=1, m2=350, batch_size=240, seed=seed,
+        )
+        drsl_accs.append(cross_validate(ds.pairs, "drsl", drsl_cfg).mean_accuracy)
+        per_subject = [_fixed_kernel_features(data.responses) for data, _ in ds.pairs]
+        for k, (name, _) in enumerate(per_subject[0]):
+            mapped = [
+                (standardize_columns(SubjectData(data.subject_id, features[k][1])), design)
+                for (data, design), features in zip(ds.pairs, per_subject)
+            ]
+            acc = cross_validate(mapped, "lrsl", lrsl_cfg).mean_accuracy
+            fixed_accs.setdefault(name, []).append(acc)
+    best_name = max(fixed_accs, key=lambda name: np.mean(fixed_accs[name]))
+    mean_fixed = float(np.mean(fixed_accs[best_name]))
+    mean_drsl = float(np.mean(drsl_accs))
+    elapsed = time.perf_counter() - t0
+    ok = mean_drsl >= mean_fixed + 0.05
+    report(
+        "6b",
+        ok,
+        f"drsl {100 * mean_drsl:.1f}% vs best fixed kernel ({best_name}) "
+        f"{100 * mean_fixed:.1f}% (need +5 points), {elapsed:.1f}s (target < 30s)",
+    )
+    assert mean_drsl >= mean_fixed + 0.05
 
 
 def test_criterion_7_mse_shrinks_with_iteration_budget():

@@ -529,6 +529,35 @@ class TestCrossValidate:
             cross_validate(ds.pairs, "drsl", cfg)
         assert calls == []
 
+    def test_repeated_subject_id_is_refused_before_any_fit(self, monkeypatch):
+        # an id keys the subject's seed streams, so two subjects sharing one
+        # would draw the same batches
+        import drsl.optimizer as opt
+        from drsl.data_model import SubjectData
+
+        ds = _cv_dataset(s=3)
+        (first, _), (second, design), third = ds.pairs
+        twin = SubjectData(subject_id=first.subject_id, responses=second.responses)
+        pairs = [ds.pairs[0], (twin, design), third]
+        calls = []
+        original = opt.fit_subject
+
+        def spy(*args, **kw):
+            calls.append(kw.get("outer"))
+            return original(*args, **kw)
+
+        monkeypatch.setattr(opt, "fit_subject", spy)
+        cfg = FitConfig(m1=1, m2=5, batch_size=40, layer_sizes=(16, 12, 10, 8))
+        for call in (
+            lambda: opt.fit(pairs, cfg),
+            lambda: fit_method(pairs, "glm", cfg),
+            lambda: cross_validate(pairs, "drsl", cfg),
+            lambda: cross_validate(pairs, "glm", cfg),
+        ):
+            with pytest.raises(DrslError, match=r"subject '01' appears twice"):
+                call()
+        assert calls == []
+
     @pytest.mark.parametrize("m1", [1, 2])
     def test_drsl_folds_share_first_iteration_fits_exactly(self, monkeypatch, m1):
         import drsl.evaluation as ev
@@ -555,7 +584,7 @@ class TestCrossValidate:
         monkeypatch.setattr(opt, "fit_subject", spy_fit_subject)
         cross_validate(ds.pairs, "drsl", cfg)
         s = len(ds.pairs)
-        assert outers.count(0) == 2 * (s - 1)
+        assert outers.count(0) == s
         assert outers.count(1) == (s * (s - 1) if m1 == 2 else 0)
         assert len(folds) == s
 

@@ -32,6 +32,7 @@ from drsl.optimizer import (
     sample_batch,
     seed_stream,
     signature_step,
+    subject_stream,
 )
 
 
@@ -639,6 +640,21 @@ class TestGroupFit:
             np.testing.assert_array_equal(a, b)
 
 
+    def test_first_fits_do_not_depend_on_subject_order(self):
+        # each subject draws from streams keyed by its id, and the start B
+        # from the config seed, so a subject's first outer iteration fits
+        # the same wherever it sits in the list
+        pairs = [make_subject(seed=s) for s in range(4)]
+        cfg = FitConfig(m1=1, m2=10, batch_size=20, seed=4, layer_sizes=(8, 6, 5, 4))
+        in_order = fit(pairs, cfg).subject_fits
+        reversed_ = fit(pairs[::-1], cfg).subject_fits[::-1]
+        for a, b in zip(in_order, reversed_, strict=True):
+            np.testing.assert_array_equal(a.signatures.values, b.signatures.values)
+            np.testing.assert_array_equal(a.mapped_responses, b.mapped_responses)
+            for (wa, ca), (wb, cb) in zip(a.params.layers, b.params.layers, strict=True):
+                np.testing.assert_array_equal(wa, wb)
+                np.testing.assert_array_equal(ca, cb)
+
     def test_group_fit_holds_about_ten_kernels_at_its_peak(self):
         # what a 4-subject fit must hold: a float32 theta per subject, one
         # gradient and two Adam moments shared by every subject fit, and the
@@ -674,3 +690,31 @@ class TestSeedStream:
         b = seed_stream(7, 1, 0, 1).standard_normal(1000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.2
 
+    def test_subject_ids_key_distinct_streams(self):
+        # the length prefix keeps ids that share digits or a prefix apart
+        ids = ("1", "01", "10", "a", "ab")
+        draws = {sid: subject_stream(7, sid, 1, 0).standard_normal(8) for sid in ids}
+        assert len({d.tobytes() for d in draws.values()}) == len(ids)
+        for sid in ids:
+            np.testing.assert_array_equal(
+                subject_stream(7, sid, 1, 0).standard_normal(8), draws[sid]
+            )
+
+    def test_default_streams_are_keyed_by_subject_id(self):
+        from drsl.optimizer import _STREAM_ADAPT, _STREAM_SUBJECT
+
+        data, design = make_subject(seed=1)
+        sig = SignatureMatrix(np.zeros((3, 4)))
+        cfg = FitConfig(m2=6, batch_size=10, layer_sizes=(8, 6, 5, 4), seed=9)
+        cases = [
+            (fit_subject(data, design, sig, cfg, outer=2),
+             fit_subject(data, design, sig, cfg, outer=2,
+                         rng=subject_stream(9, data.subject_id, _STREAM_SUBJECT, 2))),
+            (fit_kernel_params(data, design, sig, cfg),
+             fit_kernel_params(data, design, sig, cfg,
+                               rng=subject_stream(9, data.subject_id, _STREAM_ADAPT))),
+        ]
+        for default, keyed in cases:
+            np.testing.assert_array_equal(default.loss_history, keyed.loss_history)
+            for (wa, _), (wb, _) in zip(default.params.layers, keyed.params.layers):
+                np.testing.assert_array_equal(wa, wb)
