@@ -31,6 +31,7 @@ from .dataset_io import (
     fmt,
     read_dataset,
     read_matrix_tsv,
+    write_csv,
     write_dataset,
     write_matrix_tsv,
 )
@@ -108,7 +109,7 @@ def _config_from_args(args, v_org: int | None) -> FitConfig:
 def _write_run(out: str, args, **phase_s: float) -> None:
     """runtime.csv and run.json, the flags as given with the dataset's absolute path."""
     rows = [f"{args.method},{phase},{fmt(s * 1e3)}" for phase, s in phase_s.items()]
-    _write_csv(os.path.join(out, "runtime.csv"), RUNTIME_HEADER, rows)
+    write_csv(os.path.join(out, "runtime.csv"), RUNTIME_HEADER, rows)
     echo = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     echo.update(dataset=os.path.abspath(args.dataset), version=__version__)
     with open(os.path.join(out, "run.json"), "w") as fh:
@@ -121,16 +122,11 @@ def _load_standardized(path: str):
     return [(standardize_columns(data), design) for data, design in pairs]
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
-
-
 def _write_fit_tables(out: str, method: str, rho: float, iterations: int, mse: float) -> None:
     """correlation.csv and mse.csv of one fit, as ``fit`` and ``eval`` write them."""
     row = f"{method},{fmt(rho)},{fmt(0.0)}"
-    _write_csv(os.path.join(out, "correlation.csv"), CORRELATION_HEADER, [row])
-    _write_csv(os.path.join(out, "mse.csv"), MSE_HEADER, [f"{iterations},{fmt(mse)}"])
+    write_csv(os.path.join(out, "correlation.csv"), CORRELATION_HEADER, [row])
+    write_csv(os.path.join(out, "mse.csv"), MSE_HEADER, [f"{iterations},{fmt(mse)}"])
 
 
 def _cmd_synth(args) -> int:
@@ -245,13 +241,13 @@ def _cmd_cv(args) -> int:
     rows = [
         f"{args.method},{fold},{fmt(acc)}" for fold, acc in enumerate(report.accuracies)
     ]
-    _write_csv(os.path.join(out, "accuracy.csv"), ACCURACY_HEADER, rows)
+    write_csv(os.path.join(out, "accuracy.csv"), ACCURACY_HEADER, rows)
     conf_rows = [
         f"{args.method},{fold},{true_k},{pred_k},{confusion[true_k, pred_k]}"
         for fold, confusion in enumerate(report.confusions)
         for true_k, pred_k in np.ndindex(confusion.shape)
     ]
-    _write_csv(
+    write_csv(
         os.path.join(out, "confusion.csv"), "method,fold,true,predicted,count", conf_rows
     )
     _write_run(out, args, load=t1 - t0, cv=t2 - t1)
@@ -270,6 +266,8 @@ def _cmd_gradcheck(args) -> int:
     term, and in float32 against float64 at the same theta (the batch is
     rounded to float32 first, so both dtypes see one input).
     """
+    if args.seed < 0:
+        raise DrslError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     sizes = (6, 5, 4, 3)
     worst_fd = worst_f32 = 0.0
@@ -334,7 +332,7 @@ def _cmd_iters(args) -> int:
         rows.append(f"{m1 * m2},{fmt(mse)}")
         print(f"iterations={m1 * m2} mse={mse:.6f}")
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "mse.csv"), MSE_HEADER, rows)
+    write_csv(os.path.join(args.out, "mse.csv"), MSE_HEADER, rows)
     return 0
 
 

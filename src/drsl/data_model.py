@@ -132,6 +132,14 @@ class SignatureMatrix:
         return self.values.shape[1]
 
 
+def signature_array(b) -> np.ndarray:
+    """The P x V float64 values of a :class:`SignatureMatrix` or of a 2-D array."""
+    arr = np.asarray(b.values if isinstance(b, SignatureMatrix) else b, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"signatures must be 2-D, got shape {arr.shape}")
+    return arr
+
+
 class NetworkParameters:
     """Per-layer weights and biases of the kernel MLP, in one contiguous vector.
 

@@ -311,14 +311,14 @@ def _format_block(block: np.ndarray) -> bytes:
 def write_matrix_tsv(path: str, values: np.ndarray) -> str:
     """One row per line, tab-separated, no header; 17 digits, as :func:`fmt`.
 
-    The bytes are those of ``"%.17g"`` on each value cast to float64 (a
-    1-d array is one row), made a block of rows at a time by
+    ``values`` is a 2-d matrix. The bytes are those of ``"%.17g"`` on each
+    value cast to float64, made a block of rows at a time by
     :func:`_format_block` without formatting most values one by one.
     Returns the SHA-256 hex digest of the bytes written.
     """
-    matrix = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
-        raise ValueError(f"expected a 1-d or 2-d array, got {matrix.ndim}-d")
+        raise ValueError(f"expected a 2-d array, got {matrix.ndim}-d")
     step = max(1, _BLOCK // max(1, matrix.shape[1]))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -487,21 +487,15 @@ class RunResult:
 def write_results(result: RunResult, path: str) -> None:
     """Write correlation/mse/runtime CSVs under ``path``."""
     os.makedirs(path, exist_ok=True)
-    lines = [CORRELATION_HEADER]
-    lines.append(f"{result.method},{fmt(result.rho_max)},{fmt(result.rho_std_over_seeds)}")
-    _write_lines(os.path.join(path, "correlation.csv"), lines)
-
-    lines = [MSE_HEADER]
-    for iterations, mse in result.mse_by_iterations:
-        lines.append(f"{iterations},{fmt(mse)}")
-    _write_lines(os.path.join(path, "mse.csv"), lines)
-
-    lines = [RUNTIME_HEADER]
-    for phase, ms in result.phase_ms:
-        lines.append(f"{result.method},{phase},{fmt(ms)}")
-    _write_lines(os.path.join(path, "runtime.csv"), lines)
+    row = f"{result.method},{fmt(result.rho_max)},{fmt(result.rho_std_over_seeds)}"
+    write_csv(os.path.join(path, "correlation.csv"), CORRELATION_HEADER, [row])
+    rows = [f"{iterations},{fmt(mse)}" for iterations, mse in result.mse_by_iterations]
+    write_csv(os.path.join(path, "mse.csv"), MSE_HEADER, rows)
+    rows = [f"{result.method},{phase},{fmt(ms)}" for phase, ms in result.phase_ms]
+    write_csv(os.path.join(path, "runtime.csv"), RUNTIME_HEADER, rows)
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def write_csv(path: str, header: str, rows: list[str]) -> None:
+    """Write a result table: ``header``, then ``rows``, one line each."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")

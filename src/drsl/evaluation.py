@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import fit_glm, fit_lasso, fit_lrsl
-from .data_model import DesignMatrix, FitConfig, SignatureMatrix, SubjectData
+from .data_model import DesignMatrix, FitConfig, SignatureMatrix, SubjectData, signature_array
 from .errors import DrslError, NonFinite, ShapeMismatch
 from .kernel_net import fold_output_standardization, forward
 from .optimizer import GroupFit, check_group, fit, fit_kernel_params
@@ -38,12 +38,6 @@ METHODS = ("drsl", "lrsl", "glm", "lasso")
 
 _RESIDUAL_FLOOR = 1e-8
 _DOMINANCE_FRACTION = 0.5
-
-
-def _as_responses(data) -> np.ndarray:
-    if isinstance(data, SubjectData):
-        return data.responses
-    return np.asarray(data, dtype=np.float64)
 
 
 def pearson_corr(a, b) -> float:
@@ -66,10 +60,8 @@ def pearson_corr(a, b) -> float:
 
 def between_class_correlation(signatures) -> float:
     """Maximum absolute pairwise correlation between signature rows."""
-    b = signatures.values if isinstance(signatures, SignatureMatrix) else np.asarray(
-        signatures, dtype=np.float64
-    )
-    if b.ndim != 2 or b.shape[0] < 2:
+    b = signature_array(signatures)
+    if b.shape[0] < 2:
         raise ShapeMismatch(f"need a matrix with >= 2 rows, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise NonFinite("signatures contain NaN/Inf; correlation undefined")
@@ -79,13 +71,10 @@ def between_class_correlation(signatures) -> float:
     return float(min(1.0, np.max(np.abs(np.corrcoef(b)[off_diagonal]))))
 
 
-def _residual(responses, design, signatures) -> np.ndarray:
-    """x - D @ B for one subject, after unwrapping and checking the shapes."""
-    x = _as_responses(responses)
-    b = signatures.values if isinstance(signatures, SignatureMatrix) else np.asarray(
-        signatures, dtype=np.float64
-    )
-    d = design.values if isinstance(design, DesignMatrix) else np.asarray(design)
+def _residual(x: np.ndarray, design: DesignMatrix, signatures) -> np.ndarray:
+    """x - D @ B for one subject's response array, after checking the shapes."""
+    b = signature_array(signatures)
+    d = design.values
     if x.shape[0] != d.shape[0] or d.shape[1] != b.shape[0] or x.shape[1] != b.shape[1]:
         raise ShapeMismatch(
             f"inconsistent shapes: X {x.shape}, D {d.shape}, B {b.shape}"
@@ -96,10 +85,10 @@ def _residual(responses, design, signatures) -> np.ndarray:
 def group_mse(responses, signatures, designs) -> float:
     """Mean squared reconstruction error pooled over subjects.
 
-    ``responses`` live in the space the signatures model: raw voxel data
-    for identity-kernel methods, kernel outputs f(x; theta) for the deep
-    model. Entries are averaged over all subjects, time points, and
-    features.
+    ``responses`` are arrays in the space the signatures model: raw voxel
+    data for identity-kernel methods, kernel outputs f(x; theta) for the
+    deep model; ``designs`` are :class:`DesignMatrix` objects. Entries are
+    averaged over all subjects, time points, and features.
     """
     if not (len(responses) == len(signatures) == len(designs)):
         raise ShapeMismatch(
@@ -158,8 +147,10 @@ def ecoc_codebook(p: int) -> EcocCodebook:
 def hamming_decode(bits, codebook: EcocCodebook):
     """Class whose codeword is Hamming-nearest, counting nonzero entries only.
 
-    ``bits`` is one codeword (pairs,), decoded to an int, or a block
-    (n, pairs), decoded to an (n,) array. Ties break toward the lowest
+    ``bits`` holds +1/-1 pair votes: one codeword (pairs,), decoded to an
+    int, or a block (n, pairs), decoded to an (n,) array. A class's
+    distance is P - 1 minus the pairs it wins, so the nearest class is the
+    one ``bits @ codes.T`` scores highest. Ties break toward the lowest
     class index.
     """
     bits = np.asarray(bits, dtype=np.float64)
@@ -167,9 +158,7 @@ def hamming_decode(bits, codebook: EcocCodebook):
         raise ShapeMismatch(
             f"bits of shape {bits.shape} for {codebook.codes.shape[1]} codebook columns"
         )
-    active = codebook.codes != 0
-    distances = np.sum(active & (codebook.codes != bits[..., None, :]), axis=-1)
-    labels = np.argmin(distances, axis=-1)
+    labels = np.argmax(bits @ codebook.codes.T, axis=-1)
     return int(labels) if bits.ndim == 1 else labels
 
 
@@ -316,7 +305,6 @@ def fit_method(datasets, method: str, config: FitConfig, *,
     """
     if method not in METHODS:
         raise DrslError(f"unknown method {method!r}; expected one of {METHODS}")
-    check_group(datasets)
     if method in ("drsl", "lrsl"):
         if method == "drsl" and not config.m1 >= 1:
             raise DrslError(f"drsl needs m1 >= 1 outer iterations, got m1={config.m1}")
@@ -332,6 +320,8 @@ def fit_method(datasets, method: str, config: FitConfig, *,
             mapped_responses=tuple(s.mapped_responses for s in group.subject_fits),
             group=group,
         )
+    # fit and fit_lrsl check the list themselves
+    check_group(datasets)
     if method == "glm":
         fits = tuple(fit_glm(data, design) for data, design in datasets)
     else:

@@ -54,11 +54,10 @@ def default_layer_sizes(v_org: int) -> tuple[int, ...]:
 
 def init_params(
     layer_sizes,
-    scheme: InitScheme | str = InitScheme.SCALED_NORMAL,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    scheme: InitScheme | str,
+    rng: np.random.Generator,
 ) -> NetworkParameters:
-    """Draw initial weights and biases, deterministically for a given seed.
+    """Draw initial weights and biases from ``rng``.
 
     ``paper_normal`` uses i.i.d. standard normals; ``scaled_normal`` scales
     the standard deviation by 1/sqrt(fan_in), which keeps wide sigmoid
@@ -68,8 +67,6 @@ def init_params(
     sizes = tuple(int(s) for s in layer_sizes)
     validate_layer_sizes(sizes)
     scheme = InitScheme(scheme)
-    if rng is None:
-        rng = np.random.default_rng(seed)
     layers = []
     for m in range(len(sizes) - 1):
         fan_in, fan_out = sizes[m], sizes[m + 1]
@@ -191,22 +188,19 @@ def backprop_output_grad(
     params: NetworkParameters,
     activations: tuple[np.ndarray, ...],
     grad_output: np.ndarray,
-    activation: Activation | str = Activation.SIGMOID,
-    out: NetworkParameters | None = None,
+    activation: Activation | str,
+    out: NetworkParameters,
 ) -> NetworkParameters:
     """Chain a given dL/d(output) back through ``params``.
 
     ``activations`` is the record :func:`forward` returned for the same
     network: h_m feeds layer m's weight gradient, and the derivative of
     each hidden activation comes from h alone. The gradients are written
-    into ``out``, a writable network (a fresh zero one of the output's
-    dtype when None), which is returned and sets the dtype of the chain;
-    ``out`` must not be ``params`` itself.
+    into ``out``, a writable network, which is returned and sets the dtype
+    of the chain; ``out`` must not be ``params`` itself.
     """
     activation = Activation(activation)
-    if out is None:
-        out = NetworkParameters(None, params.layer_sizes, activations[-1].dtype)
-    elif out.layer_sizes != params.layer_sizes:
+    if out.layer_sizes != params.layer_sizes:
         raise ShapeMismatch(
             f"gradient buffer has layer sizes {out.layer_sizes}, "
             f"expected {params.layer_sizes}"

@@ -50,6 +50,7 @@ from .data_model import (
     RegularizerMode,
     SignatureMatrix,
     SubjectData,
+    signature_array,
     validate_pair,
 )
 from .errors import DrslError, NonFinite, ShapeMismatch
@@ -97,19 +98,11 @@ def subject_stream(seed: int, subject_id: str, tag: int, *key: int) -> np.random
     return seed_stream(seed, tag, *key, len(b), *b)
 
 
-def _signature_array(b) -> np.ndarray:
-    values = b.values if isinstance(b, SignatureMatrix) else b
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"signatures must be 2-D, got shape {arr.shape}")
-    return arr
-
-
 def regularizer(b, alpha: float) -> float:
     """Elementwise penalty sum(alpha*|beta| + 10*alpha*beta^2)."""
     if not 1.0 <= alpha < np.inf:
         raise DrslError(f"alpha must be >= 1 and finite, got {alpha}")
-    arr = _signature_array(b)
+    arr = signature_array(b)
     return float(np.sum(alpha * np.abs(arr) + 10.0 * alpha * arr * arr))
 
 
@@ -138,7 +131,7 @@ def objective(
     regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
 ) -> float:
     """sum_i ||f(x_i) - d_i B||^2 plus the regularizer."""
-    arr = _signature_array(b)
+    arr = signature_array(b)
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
@@ -194,7 +187,7 @@ def signature_step(
     solved by proximal gradient warm-started at ``b``, for at most
     :data:`B_SOLVE_ITERATIONS` iterations.
     """
-    arr = _signature_array(b)
+    arr = signature_array(b)
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
@@ -381,7 +374,7 @@ def _train(
     t = x.shape[0]
     if config.batch_size > t:
         raise ShapeMismatch(f"batch size {config.batch_size} exceeds {t} time points")
-    b = _signature_array(signatures)
+    b = signature_array(signatures)
     if b.shape[0] != d.shape[1]:
         raise ShapeMismatch(
             f"B has {b.shape[0]} rows but design has {d.shape[1]} conditions"
@@ -448,7 +441,6 @@ def fit_subject(
     design: DesignMatrix,
     b_init: SignatureMatrix,
     config: FitConfig,
-    rng: np.random.Generator | None = None,
     initial_params: NetworkParameters | None = None,
     outer: int = 0,
     *,
@@ -461,13 +453,12 @@ def fit_subject(
     X)). ``params`` is the raw network, read-only float32, which
     :func:`drsl.kernel_net.fold_output_standardization` turns into the
     fitted kernel. A divergence names ``outer`` as its outer iteration.
-    With no ``rng`` the fit draws from the subject's own stream for
-    ``outer`` (:func:`subject_stream`), which :func:`fit` relies on.
-    ``_buffers`` is internal: :func:`fit` passes every subject fit the
-    same gradient buffer and Adam state (see :func:`_train`).
+    The fit draws from the subject's own stream for ``outer``
+    (:func:`subject_stream`), which :func:`fit` relies on. ``_buffers`` is
+    internal: :func:`fit` passes every subject fit the same gradient
+    buffer and Adam state (see :func:`_train`).
     """
-    if rng is None:
-        rng = subject_stream(config.seed, data.subject_id, _STREAM_SUBJECT, outer)
+    rng = subject_stream(config.seed, data.subject_id, _STREAM_SUBJECT, outer)
     where = f"outer iteration {outer}"
     params, losses = _train(data, design, b_init, config, rng, where, initial_params, _buffers)
     mapped = standardize_outputs(forward(params, data.responses, config.activation)[0])[0]
@@ -577,17 +568,15 @@ def fit_kernel_params(
     design: DesignMatrix,
     signatures: SignatureMatrix,
     config: FitConfig,
-    rng: np.random.Generator | None = None,
 ) -> SubjectFit:
     """Fit a fresh theta with B frozen at ``signatures``; adapts a held-out kernel.
 
     The targets d_i B come from the frozen group signatures, so the
     subject's responses never influence B; the fit's ``signatures`` are B
     as passed in. Callers that score scans pass only the scans set aside
-    for adaptation. With no ``rng`` the fit draws from the subject's own
-    adaptation stream (:func:`subject_stream`).
+    for adaptation. The fit draws from the subject's own adaptation
+    stream (:func:`subject_stream`).
     """
-    if rng is None:
-        rng = subject_stream(config.seed, data.subject_id, _STREAM_ADAPT)
+    rng = subject_stream(config.seed, data.subject_id, _STREAM_ADAPT)
     params, losses = _train(data, design, signatures, config, rng, "kernel adaptation")
     return SubjectFit(signatures=signatures, params=params, loss_history=losses)

@@ -83,6 +83,8 @@ class SynthSpec:
                 f"need >= {self.n_conditions + 2} voxels for {self.n_conditions} "
                 f"conditions, got {self.n_voxels}"
             )
+        if not self.seed >= 0:
+            raise DrslError(f"seed must be non-negative, got {self.seed}")
         # each guard is written so that NaN fails it
         if not self.snr > 0:
             raise DrslError(f"snr must be > 0, got {self.snr}")

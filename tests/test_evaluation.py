@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsl.data_model import FitConfig, SignatureMatrix
+from drsl.data_model import DesignMatrix, FitConfig, SignatureMatrix
 from drsl.errors import DrslError, NonFinite, ShapeMismatch
 from drsl.evaluation import (
     CvReport,
@@ -100,12 +100,16 @@ class TestBetweenClassCorrelation:
         assert between_class_correlation(b) == pytest.approx(pairwise, abs=1e-12)
 
 
+def _design(d):
+    return DesignMatrix(tuple(f"c{k}" for k in range(d.shape[1])), d)
+
+
 class TestGroupMse:
     def test_exact_fit(self):
         rng = np.random.default_rng(2)
         d = rng.standard_normal((10, 3))
         b = rng.standard_normal((3, 5))
-        assert group_mse([d @ b], [b], [d]) == 0.0
+        assert group_mse([d @ b], [b], [_design(d)]) == 0.0
 
     def test_zero_signatures_on_standardized_data(self):
         spec = SynthSpec(n_subjects=2, n_scans=200, n_voxels=20, n_conditions=3, seed=4)
@@ -131,7 +135,7 @@ class TestGroupMse:
                     total += (x[i, j] - pred) ** 2
                     count += 1
         oracle = total / count
-        assert group_mse(xs, bs, ds_) == pytest.approx(oracle, abs=1e-10)
+        assert group_mse(xs, bs, [_design(d) for d in ds_]) == pytest.approx(oracle, abs=1e-10)
 
     def test_ols_is_optimal(self):
         rng = np.random.default_rng(6)
@@ -139,14 +143,14 @@ class TestGroupMse:
         d = rng.standard_normal((30, 3))
         ols, *_ = np.linalg.lstsq(d, x, rcond=None)
         perturbed = ols + 0.1 * rng.standard_normal(ols.shape)
-        assert group_mse([x], [ols], [d]) <= group_mse([x], [perturbed], [d])
+        assert group_mse([x], [ols], [_design(d)]) <= group_mse([x], [perturbed], [_design(d)])
 
     def test_nan_signatures_rejected(self):
         rng = np.random.default_rng(7)
         d = rng.standard_normal((10, 3))
         b = np.full((3, 5), np.nan)
         with pytest.raises(NonFinite, match="reconstruction error is not finite"):
-            group_mse([rng.standard_normal((10, 5))], [b], [d])
+            group_mse([rng.standard_normal((10, 5))], [b], [_design(d)])
 
 
 class TestResidualScale:
@@ -154,7 +158,7 @@ class TestResidualScale:
         rng = np.random.default_rng(7)
         d = rng.standard_normal((10, 3))
         b = rng.standard_normal((3, 4))
-        np.testing.assert_array_equal(pooled_residual_scale([d @ b], [d], b), 1e-8)
+        np.testing.assert_array_equal(pooled_residual_scale([d @ b], [_design(d)], b), 1e-8)
 
     def test_unit_residuals(self):
         d = np.zeros((4, 2))
@@ -162,7 +166,7 @@ class TestResidualScale:
         x = np.array(
             [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
         )
-        np.testing.assert_allclose(pooled_residual_scale([x], [d], b), 1.0)
+        np.testing.assert_allclose(pooled_residual_scale([x], [_design(d)], b), 1.0)
 
     def test_matches_column_oracle(self):
         rng = np.random.default_rng(8)
@@ -174,14 +178,14 @@ class TestResidualScale:
             max(np.sqrt(np.mean([resid[i, j] ** 2 for i in range(12)])), 1e-8)
             for j in range(5)
         ]
-        np.testing.assert_allclose(pooled_residual_scale([x], [d], b), oracle, atol=1e-10)
+        np.testing.assert_allclose(pooled_residual_scale([x], [_design(d)], b), oracle, atol=1e-10)
 
     def test_pooled_scale_rejects_inconsistent_shapes(self):
         rng = np.random.default_rng(10)
         d = rng.standard_normal((10, 3))
         b = SignatureMatrix(rng.standard_normal((3, 5)))
         with pytest.raises(ShapeMismatch, match="inconsistent shapes"):
-            pooled_residual_scale([rng.standard_normal((10, 4))], [d], b)
+            pooled_residual_scale([rng.standard_normal((10, 4))], [_design(d)], b)
 
 
 class TestHyperplanes:
@@ -279,16 +283,16 @@ class TestPredict:
         assert predict(np.array([-5.0, 0.0]), planes, cb) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        cb = ecoc_codebook(2)
         # a bit vector disagreeing with both rows equally is impossible for
-        # P=2; force a tie by comparing across equal distances at P=3
-        cb3 = ecoc_codebook(3)
-        bits = np.array([1.0, -1.0, 0.0])
-        d = [(cb3.codes[c] != 0) & (cb3.codes[c] != bits) for c in range(3)]
+        # P=2; at P=4 these votes give classes 1 and 2 two wins each, and
+        # classes 0 and 3 one
+        cb4 = ecoc_codebook(4)
+        bits = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+        d = [(cb4.codes[c] != 0) & (cb4.codes[c] != bits) for c in range(4)]
         dists = [x.sum() for x in d]
-        winner = hamming_decode(bits, cb3)
-        assert dists[winner] == min(dists)
-        assert winner == int(np.argmin(dists))
+        winner = hamming_decode(bits, cb4)
+        assert dists == [2, 1, 1, 2]
+        assert winner == int(np.argmin(dists)) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -376,10 +380,22 @@ class TestArrayPathMatchesLoop:
     def test_block_decode_equals_row_by_row(self, p):
         rng = np.random.default_rng(p)
         cb = ecoc_codebook(p)
-        bits = rng.choice([-1.0, 0.0, 1.0], size=(300, cb.codes.shape[1]))
+        bits = rng.choice([-1.0, 1.0], size=(300, cb.codes.shape[1]))
         labels = hamming_decode(bits, cb)
         assert labels.shape == (300,)
         assert labels.tolist() == [hamming_decode(row, cb) for row in bits]
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_decode_is_per_entry_hamming_on_every_sign_pattern(self, p):
+        # the oracle is the per-entry definition: count the nonzero code
+        # entries a vote disagrees with, nearest class first, ties low
+        codebook = ecoc_codebook(p)
+        k = codebook.codes.shape[1]
+        bits = ((np.arange(2**k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
+        active = codebook.codes != 0
+        distances = np.sum(active & (codebook.codes != bits[..., None, :]), axis=-1)
+        labels = np.argmin(distances, axis=-1)
+        np.testing.assert_array_equal(hamming_decode(bits, codebook), labels)
 
 
 class TestDominantTimePoints:
@@ -598,6 +614,26 @@ class TestCrossValidate:
                     np.testing.assert_array_equal(wa, wb)
                     np.testing.assert_array_equal(ca, cb)
 
+    @pytest.mark.parametrize("method", ["drsl", "lrsl", "glm", "lasso"])
+    def test_each_fold_checks_its_training_list_once(self, monkeypatch, method):
+        # the whole list once up front, then each fold's training list once
+        from drsl import baselines, evaluation, optimizer
+
+        checked = []
+        original = optimizer.check_group
+
+        def spy(datasets):
+            checked.append([data.subject_id for data, _ in datasets])
+            return original(datasets)
+
+        for module in (evaluation, optimizer, baselines):
+            monkeypatch.setattr(module, "check_group", spy)
+        ds = _cv_dataset(s=3)
+        cfg = FitConfig(m1=1, m2=2, batch_size=40, layer_sizes=(16, 10, 8, 6), alpha=1.0)
+        cross_validate(ds.pairs, method, cfg)
+        ids = [data.subject_id for data, _ in ds.pairs]
+        assert checked == [ids] + [ids[:k] + ids[k + 1:] for k in range(len(ids))]
+
     def test_confusion_rows_sum_to_label_counts(self):
         ds = _cv_dataset(s=3)
         report = cross_validate(ds.pairs, "glm", FitConfig())
@@ -655,13 +691,13 @@ class TestAdaptTestSubject:
     def test_m2_zero_returns_initial_params(self):
         ds = _cv_dataset()
         cfg = FitConfig(m2=0, batch_size=40, layer_sizes=(16, 12, 10, 8), seed=5)
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
         from drsl.kernel_net import init_params
+        from drsl.optimizer import _STREAM_ADAPT, subject_stream
 
         sig = SignatureMatrix(np.random.default_rng(1).standard_normal((3, 8)))
-        theta = fit_kernel_params(ds.subjects[0], ds.designs[0], sig, cfg, rng=rng_a).params
-        fresh = init_params((16, 12, 10, 8), cfg.init, rng=rng_b)
+        theta = fit_kernel_params(ds.subjects[0], ds.designs[0], sig, cfg).params
+        rng = subject_stream(cfg.seed, ds.subjects[0].subject_id, _STREAM_ADAPT)
+        fresh = init_params((16, 12, 10, 8), cfg.init, rng=rng)
         for (w1, _), (w2, _) in zip(theta.layers, fresh.layers):
             np.testing.assert_array_equal(w1, w2)
 

@@ -314,7 +314,7 @@ class TestWriteDatasetRejects:
 
 def reference_matrix_tsv(values) -> bytes:
     """The matrix format spelled out: 17 significant digits, tabs, one row a line."""
-    rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    rows = np.asarray(values, dtype=np.float64)
     return "".join("\t".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows).encode()
 
 
@@ -323,10 +323,10 @@ class TestWriteMatrixTsv:
         "values",
         [
             np.array([[0.0, -0.0, 5e-324, 1e300], [np.inf, -np.inf, np.nan, 0.1]]),
-            np.array([1.0 / 3.0, -2.5, 1e-17]),
+            np.array([[1.0 / 3.0, -2.5, 1e-17]]),
             np.random.default_rng(0).standard_normal((7, 5)) * 10.0 ** np.arange(-2, 3),
         ],
-        ids=["specials", "1-d", "random"],
+        ids=["specials", "one-row", "random"],
     )
     def test_bytes_match_reference_writer(self, tmp_path, values):
         path = tmp_path / "m.tsv"
@@ -341,7 +341,7 @@ class TestWriteMatrixTsv:
     def test_any_bit_pattern_matches_reference_writer(self, tmp_path_factory, bits):
         # every float64: subnormals, NaN payloads of either sign, and the
         # fixed-notation window the vectorized path covers
-        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = np.array([bits], dtype=np.uint64).view(np.float64)
         path = tmp_path_factory.getbasetemp() / "bits.tsv"
         write_matrix_tsv(str(path), values)
         assert path.read_bytes() == reference_matrix_tsv(values)
@@ -357,6 +357,11 @@ class TestWriteMatrixTsv:
         path = tmp_path / "m.tsv"
         write_matrix_tsv(str(path), values)
         assert path.read_bytes() == reference_matrix_tsv(values)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["1-d", "3-d"])
+    def test_only_a_matrix_is_written(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="expected a 2-d array"):
+            write_matrix_tsv(str(tmp_path / "m.tsv"), np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(_BLOCK // 100 * 3 + 7, 100), (3, _BLOCK + 5), (4, 0)],
                              ids=["taller-than-a-block", "wider-than-a-block", "no-columns"])
@@ -687,20 +692,25 @@ class TestCli:
              "lasso iterations must be >= 1, got -5"),
             (["cv", "--method", "lrsl", "--lasso-alpha", "-1"],
              "alpha_lasso must be >= 0 and finite, got -1.0"),
+            (["synth", "--seed", "-1"], "seed must be non-negative, got -1"),
+            (["gradcheck", "--seed", "-1"], "seed must be non-negative, got -1"),
         ],
         ids=["synth-tr", "synth-snr", "lasso-alpha", "layers", "schedule",
              "schedule-nonpositive", "iters-m2-zero", "lasso-iters", "drsl-m1-zero",
              "lrsl-alpha-inf", "drsl-eta-inf", "lasso-alpha-inf", "synth-tr-inf",
-             "glm-lasso-alpha-nan", "glm-lasso-iters", "lrsl-cv-lasso-alpha"],
+             "glm-lasso-alpha-nan", "glm-lasso-iters", "lrsl-cv-lasso-alpha",
+             "synth-seed-negative", "gradcheck-seed-negative"],
     )
     def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, argv, message):
         data_dir = str(tmp_path / "d")
-        if argv[0] != "synth":
+        if argv[0] not in ("synth", "gradcheck"):
             assert run(["synth", "--subjects", "2", "--scans", "80", "--voxels", "12",
                         "--seed", "1", "--out", data_dir]) == 0
             argv = [*argv, "--dataset", data_dir]
+        if argv[0] != "gradcheck":
+            argv = [*argv, "--out", str(tmp_path / "o")]
         capsys.readouterr()
-        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
 

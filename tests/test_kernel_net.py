@@ -28,7 +28,8 @@ def squared_error_grad(params, x, t, activation="sigmoid"):
     """The gradient of :func:`squared_error`: its output gradient through
     backprop_output_grad."""
     out, activations = forward(params, x, activation)
-    return backprop_output_grad(params, activations, 2.0 * (out - t), activation)
+    return backprop_output_grad(params, activations, 2.0 * (out - t), activation,
+                                NetworkParameters(None, params.layer_sizes))
 
 
 def sigmoid(z):
@@ -60,33 +61,33 @@ def finite_difference_grads(params, x, t, activation, h=1e-5):
 
 class TestInitParams:
     def test_same_seed_bit_identical(self):
-        a = init_params((8, 5, 4, 3), "scaled_normal", seed=42)
-        b = init_params((8, 5, 4, 3), "scaled_normal", seed=42)
+        a = init_params((8, 5, 4, 3), "scaled_normal", rng=np.random.default_rng(42))
+        b = init_params((8, 5, 4, 3), "scaled_normal", rng=np.random.default_rng(42))
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ba, bb)
 
     def test_shapes(self):
-        params = init_params((8, 5, 4, 3), "paper_normal", seed=0)
+        params = init_params((8, 5, 4, 3), "paper_normal", rng=np.random.default_rng(0))
         shapes = [(w.shape, b.shape) for w, b in params.layers]
         assert shapes == [((5, 8), (5,)), ((4, 5), (4,)), ((3, 4), (3,))]
 
     def test_scaled_normal_std(self):
-        params = init_params((10_000, 50, 8, 4), "scaled_normal", seed=7)
+        params = init_params((10_000, 50, 8, 4), "scaled_normal", rng=np.random.default_rng(7))
         w = params.layers[0][0]
         assert abs(w.std() - 0.01) < 0.001  # 1/sqrt(10000), within 10%
 
     def test_paper_normal_std(self):
-        params = init_params((2000, 50, 8, 4), "paper_normal", seed=7)
+        params = init_params((2000, 50, 8, 4), "paper_normal", rng=np.random.default_rng(7))
         assert abs(params.layers[0][0].std() - 1.0) < 0.1
 
     def test_too_few_layers_rejected(self):
         with pytest.raises(ShapeMismatch, match="need at least 3 layers"):
-            init_params((8, 3), "scaled_normal", seed=0)
+            init_params((8, 3), "scaled_normal", rng=np.random.default_rng(0))
 
     def test_output_wider_than_input_rejected(self):
         with pytest.raises(ShapeMismatch, match="output dim 6 exceeds input dim 4"):
-            init_params((4, 8, 8, 6), "scaled_normal", seed=0)
+            init_params((4, 8, 8, 6), "scaled_normal", rng=np.random.default_rng(0))
 
 
 class TestDefaultSizes:
@@ -127,7 +128,7 @@ class TestForward:
 
     def test_matches_per_neuron_oracle(self):
         rng = np.random.default_rng(12)
-        params = init_params((3, 4, 4, 2), "scaled_normal", seed=5)
+        params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(5))
         x = rng.standard_normal((6, 3))
         out, _ = forward(params, x, "sigmoid")
         for i in range(6):
@@ -140,7 +141,7 @@ class TestForward:
             np.testing.assert_allclose(out[i], h, atol=1e-12)
 
     def test_trace_endpoints(self):
-        params = init_params((3, 4, 4, 2), "scaled_normal", seed=5)
+        params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(5))
         x = np.random.default_rng(0).standard_normal((4, 3))
         out, activations = forward(params, x, "tanh")
         assert len(activations) == 4
@@ -149,7 +150,7 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
     def test_batch_and_parameters_left_bitwise_unchanged(self, activation, dtype):
-        params = init_params((6, 5, 4, 3), "paper_normal", seed=2)
+        params = init_params((6, 5, 4, 3), "paper_normal", rng=np.random.default_rng(2))
         x = np.random.default_rng(1).standard_normal((7, 6)).astype(dtype)
         x_before = x.tobytes()
         for net in (params, params.astype(dtype)):
@@ -160,7 +161,7 @@ class TestForward:
             assert [a.tobytes() for layer in net.layers for a in layer] == before
 
     def test_wrong_width_rejected(self):
-        params = init_params((3, 4, 4, 2), "scaled_normal", seed=5)
+        params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(5))
         with pytest.raises(ShapeMismatch):
             forward(params, np.zeros((4, 7)))
 
@@ -168,7 +169,7 @@ class TestForward:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_row_decomposable(self, seed):
         rng = np.random.default_rng(seed)
-        params = init_params((5, 6, 4, 3), "scaled_normal", seed=seed)
+        params = init_params((5, 6, 4, 3), "scaled_normal", rng=np.random.default_rng(seed))
         x = rng.standard_normal((7, 5))
         full, _ = forward(params, x, "tanh")
         rows = np.vstack([forward(params, x[i : i + 1], "tanh")[0] for i in range(7)])
@@ -177,7 +178,7 @@ class TestForward:
 
 class TestKernelLoss:
     def test_zero_when_targets_equal_output(self):
-        params = init_params((3, 4, 4, 2), "scaled_normal", seed=1)
+        params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((5, 3))
         out, _ = forward(params, x)
         assert squared_error(params, x, out) == 0.0
@@ -190,7 +191,7 @@ class TestKernelLoss:
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(9)
-        params = init_params((4, 5, 4, 3), "scaled_normal", seed=9)
+        params = init_params((4, 5, 4, 3), "scaled_normal", rng=np.random.default_rng(9))
         x = rng.standard_normal((6, 4))
         t = rng.standard_normal((6, 3))
         out, _ = forward(params, x)
@@ -201,7 +202,7 @@ class TestKernelLoss:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
-        params = init_params((4, 5, 4, 3), "scaled_normal", seed=3)
+        params = init_params((4, 5, 4, 3), "scaled_normal", rng=np.random.default_rng(3))
         x = rng.standard_normal((6, 4))
         t = rng.standard_normal((6, 3))
         assert squared_error(params, x, t) >= 0.0
@@ -209,7 +210,7 @@ class TestKernelLoss:
 
 class TestBackprop:
     def test_zero_gradient_at_minimum(self):
-        params = init_params((3, 4, 4, 2), "scaled_normal", seed=1)
+        params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((5, 3))
         out, _ = forward(params, x)
         grads = squared_error_grad(params, x, out)
@@ -246,7 +247,7 @@ class TestBackprop:
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
     def test_matches_finite_differences(self, activation):
         rng = np.random.default_rng(17)
-        params = init_params((4, 5, 4, 3), "scaled_normal", seed=11)
+        params = init_params((4, 5, 4, 3), "scaled_normal", rng=np.random.default_rng(11))
         x = rng.standard_normal((6, 4))
         t = rng.standard_normal((6, 3))
         analytic = squared_error_grad(params, x, t, activation)
@@ -259,7 +260,7 @@ class TestBackprop:
 
     def test_batch_gradient_is_sum_of_per_sample(self):
         rng = np.random.default_rng(8)
-        params = init_params((3, 4, 4, 2), "scaled_normal", seed=8)
+        params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(8))
         x = rng.standard_normal((5, 3))
         t = rng.standard_normal((5, 2))
         full = squared_error_grad(params, x, t)
@@ -309,7 +310,7 @@ class TestGradientBuffer:
     def test_written_gradient_equals_allocating_backprop(self, activation, zero):
         rng = np.random.default_rng(12)
         sizes = (30, 25, 18, 7)
-        params = init_params(sizes, "paper_normal", seed=6)
+        params = init_params(sizes, "paper_normal", rng=np.random.default_rng(6))
         if zero:
             layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers[:-1]]
             params = NetworkParameters((*layers, params.layers[-1]), sizes)
@@ -326,16 +327,17 @@ class TestGradientBuffer:
             np.testing.assert_array_equal(gb, eb)
 
     def test_buffer_of_other_sizes_rejected(self):
-        params = init_params((4, 3, 2), seed=0)
+        params = init_params((4, 3, 2), "scaled_normal", rng=np.random.default_rng(0))
         _, activations = forward(params, np.ones((2, 4)))
         with pytest.raises(ShapeMismatch):
             backprop_output_grad(
-                params, activations, np.ones((2, 2)), out=NetworkParameters(None, (4, 3, 3))
+                params, activations, np.ones((2, 2)), "sigmoid",
+                out=NetworkParameters(None, (4, 3, 3)),
             )
 
     def test_flat_copy_and_freeze_share_no_memory(self):
         # a float32 copy trains in place; its float64 copy is frozen
-        params = init_params((5, 4, 3), seed=1)
+        params = init_params((5, 4, 3), "scaled_normal", rng=np.random.default_rng(1))
         flat = params.astype(np.float32)
         frozen = flat.astype(np.float64)
         for (w, b), (fw, fb), (zw, zb) in zip(params.layers, flat.layers, frozen.layers):
@@ -367,11 +369,11 @@ class TestFloat32:
     sizes = (30, 25, 18, 7)
 
     def nets(self, seed=6):
-        params = init_params(self.sizes, "scaled_normal", seed=seed)
+        params = init_params(self.sizes, "scaled_normal", rng=np.random.default_rng(seed))
         return params, params.astype(np.float32)
 
     def test_init_params_are_float32_values_held_in_float64(self):
-        params = init_params(self.sizes, "paper_normal", seed=3)
+        params = init_params(self.sizes, "paper_normal", rng=np.random.default_rng(3))
         for a in (a for layer in params.layers for a in layer):
             assert a.dtype == np.float64
             np.testing.assert_array_equal(a.astype(np.float32), a)
@@ -436,14 +438,6 @@ class TestFloat32:
             scale = max(np.max(np.abs(ew)), np.max(np.abs(eb)))
             np.testing.assert_allclose(gw, ew, rtol=0, atol=1e-5 * scale)
             np.testing.assert_allclose(gb, eb, rtol=0, atol=1e-5 * scale)
-
-    def test_public_backprop_keeps_float64(self):
-        # backprop_output_grad without a buffer allocates one of the network's dtype
-        params, _ = self.nets()
-        rng = np.random.default_rng(1)
-        _, activations = forward(params, rng.standard_normal((5, 30)))
-        grads = backprop_output_grad(params, activations, rng.standard_normal((5, 7)))
-        assert grads.flat.dtype == np.float64
 
 
 class TestActivationContract:
@@ -517,7 +511,7 @@ class TestOutputStandardization:
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
     def test_gradient_matches_finite_differences(self, activation):
         rng = np.random.default_rng(7)
-        params = init_params((5, 4, 4, 3), "scaled_normal", seed=11)
+        params = init_params((5, 4, 4, 3), "scaled_normal", rng=np.random.default_rng(11))
         x = rng.standard_normal((9, 5))
         t = rng.standard_normal((9, 3))
 
@@ -528,7 +522,8 @@ class TestOutputStandardization:
         z, activations = forward(params, x, activation)
         y, scale, _ = standardize_outputs(z)
         grads = backprop_output_grad(
-            params, activations, standardize_backward(2.0 * (y - t), y, scale), activation
+            params, activations, standardize_backward(2.0 * (y - t), y, scale), activation,
+            NetworkParameters(None, params.layer_sizes),
         )
         h = 1e-6
         for li in range(len(params.layers)):
@@ -547,7 +542,7 @@ class TestOutputStandardization:
         # the training step: the standardized squared error's output gradient
         # through backprop, unscaled by the loss weight, in theta's dtype
         rng = np.random.default_rng(3)
-        params = init_params((4, 3, 2), "scaled_normal", seed=1)
+        params = init_params((4, 3, 2), "scaled_normal", rng=np.random.default_rng(1))
         x = rng.standard_normal((6, 4))
         d, b = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
         t = d @ b
@@ -558,14 +553,15 @@ class TestOutputStandardization:
             out, activations = forward(theta, x.astype(dtype), "tanh")
             y, scale, _ = standardize_outputs(out)
             grad_y = standardize_backward(2.0 * (y - t.astype(dtype)), y, scale)
-            expected = backprop_output_grad(theta, activations, grad_y, "tanh")
+            expected = backprop_output_grad(theta, activations, grad_y, "tanh",
+                                            NetworkParameters(None, params.layer_sizes, dtype))
             assert got.flat.dtype == dtype
             assert loss == 2.5 * float(np.sum((y - t) ** 2))
             np.testing.assert_array_equal(got.flat, expected.flat)
 
     def test_fold_reproduces_reference_standardization(self):
         rng = np.random.default_rng(5)
-        params = init_params((6, 5, 4), "paper_normal", seed=2)
+        params = init_params((6, 5, 4), "paper_normal", rng=np.random.default_rng(2))
         ref = rng.standard_normal((20, 6))
         other = rng.standard_normal((7, 6))
         folded = fold_output_standardization(params, ref, "tanh")

@@ -204,7 +204,7 @@ def _writable(params, dtype=np.float64):
 
 class TestAdamStep:
     def make(self, seed=0, sizes=(3, 4, 4, 2)):
-        params = _writable(init_params(sizes, "scaled_normal", seed=seed))
+        params = _writable(init_params(sizes, "scaled_normal", rng=np.random.default_rng(seed)))
         return params, AdamState(params)
 
     def test_zero_gradient_leaves_parameters(self):
@@ -283,7 +283,7 @@ class TestAdamStep:
         # as the bit-identical test above, with float32 theta, gradient and
         # moments against the float64 reference
         sizes = (400, 200, 250, 10)
-        params64 = init_params(sizes, "scaled_normal", seed=3)
+        params64 = init_params(sizes, "scaled_normal", rng=np.random.default_rng(3))
         params = params64.astype(np.float32)
         state = AdamState(params)
         ref = [[a.copy(), np.zeros_like(a), np.zeros_like(a)]
@@ -330,7 +330,7 @@ class TestFitSubject:
         # theta stays at its start; B is still solved for that kernel
         data, design = make_subject()
         cfg = FitConfig(m2=0, batch_size=10, layer_sizes=(8, 6, 5, 4))
-        start = init_params((8, 6, 5, 4), cfg.init, seed=2)
+        start = init_params((8, 6, 5, 4), cfg.init, rng=np.random.default_rng(2))
         b0 = np.ones((3, 4))
         out = fit_subject(data, design, SignatureMatrix(b0), cfg, initial_params=start)
         assert out.loss_history.size == 0
@@ -460,7 +460,7 @@ class TestFitSubject:
     def test_initial_params_untouched_and_result_read_only(self):
         data, design = make_subject()
         cfg = FitConfig(m2=15, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=3)
-        start = init_params((8, 6, 5, 4), cfg.init, seed=4)
+        start = init_params((8, 6, 5, 4), cfg.init, rng=np.random.default_rng(4))
         before = [a.copy() for layer in start.layers for a in layer]
         b0 = SignatureMatrix(np.zeros((3, 4)))
         out = fit_subject(data, design, b0, cfg, initial_params=start)
@@ -701,20 +701,20 @@ class TestSeedStream:
             )
 
     def test_default_streams_are_keyed_by_subject_id(self):
-        from drsl.optimizer import _STREAM_ADAPT, _STREAM_SUBJECT
+        # each fit trains as the kernel loop does on its subject's stream
+        from drsl.optimizer import _STREAM_ADAPT, _STREAM_SUBJECT, _train
 
         data, design = make_subject(seed=1)
         sig = SignatureMatrix(np.zeros((3, 4)))
         cfg = FitConfig(m2=6, batch_size=10, layer_sizes=(8, 6, 5, 4), seed=9)
         cases = [
             (fit_subject(data, design, sig, cfg, outer=2),
-             fit_subject(data, design, sig, cfg, outer=2,
-                         rng=subject_stream(9, data.subject_id, _STREAM_SUBJECT, 2))),
+             subject_stream(9, data.subject_id, _STREAM_SUBJECT, 2)),
             (fit_kernel_params(data, design, sig, cfg),
-             fit_kernel_params(data, design, sig, cfg,
-                               rng=subject_stream(9, data.subject_id, _STREAM_ADAPT))),
+             subject_stream(9, data.subject_id, _STREAM_ADAPT)),
         ]
-        for default, keyed in cases:
-            np.testing.assert_array_equal(default.loss_history, keyed.loss_history)
-            for (wa, _), (wb, _) in zip(default.params.layers, keyed.params.layers):
+        for fitted, rng in cases:
+            params, losses = _train(data, design, sig, cfg, rng, "by hand")
+            np.testing.assert_array_equal(fitted.loss_history, losses)
+            for (wa, _), (wb, _) in zip(fitted.params.layers, params.layers):
                 np.testing.assert_array_equal(wa, wb)
