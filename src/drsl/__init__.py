@@ -16,7 +16,6 @@ from .data_model import (
     FitConfig,
     InitScheme,
     NetworkParameters,
-    RegularizerMode,
     SignatureMatrix,
     SubjectData,
     standardize_columns,
@@ -39,7 +38,6 @@ from .evaluation import (
     ecoc_codebook,
     fit_method,
     group_mse,
-    pearson_corr,
     predict,
 )
 from .kernel_net import (
@@ -74,7 +72,6 @@ __all__ = [
     "MethodFit",
     "NetworkParameters",
     "Nonlinearity",
-    "RegularizerMode",
     "SignatureMatrix",
     "SignatureStyle",
     "SubjectData",
@@ -100,7 +97,6 @@ __all__ = [
     "group_mse",
     "init_params",
     "objective",
-    "pearson_corr",
     "predict",
     "regularizer",
     "sample_batch",

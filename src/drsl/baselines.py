@@ -36,8 +36,8 @@ def fit_glm(data: SubjectData, design: DesignMatrix) -> SignatureMatrix:
 def fit_lasso(
     data: SubjectData,
     design: DesignMatrix,
-    alpha_lasso: float = 0.9,
-    iterations: int = 500,
+    alpha_lasso: float,
+    iterations: int,
 ) -> SignatureMatrix:
     """Minimize ||X - D B||_F^2 + alpha_lasso * sum|beta| by proximal gradient.
 
@@ -58,14 +58,12 @@ def fit_lrsl(datasets, config: FitConfig) -> GroupFit:
     Each subject's B is the deep model's exact B half-step
     (:func:`drsl.optimizer.signature_step`) on its voxel data from B = 0,
     and the group signatures are their mean. Of the config only ``alpha``
-    and ``regularizer`` apply.
+    applies.
     """
     conditions, v_org, p = check_group(datasets)
     fits = []
     for data, design in datasets:
-        b = signature_step(
-            np.zeros((p, v_org)), design.values, data.responses, config.alpha, config.regularizer
-        )
+        b = signature_step(np.zeros((p, v_org)), design.values, data.responses, config.alpha)
         fits.append(SubjectFit(SignatureMatrix(b, conditions), None, np.empty(0), data.responses))
     mean = np.mean([f.signatures.values for f in fits], axis=0)
     return GroupFit(SignatureMatrix(mean, conditions), tuple(fits))

@@ -67,10 +67,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--init", choices=["scaled_normal", "paper_normal"], default="scaled_normal"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--regularizer", choices=["on", "off"], default="on",
-        help="disable to compare the linear solver against plain least squares",
-    )
     parser.add_argument("--lasso-alpha", type=float, default=0.9)
     parser.add_argument("--lasso-iters", type=int, default=500)
 
@@ -100,7 +96,6 @@ def _config_from_args(args, v_org: int | None) -> FitConfig:
         activation=args.activation,
         init=args.init,
         seed=args.seed,
-        regularizer=args.regularizer,
         lasso_alpha=args.lasso_alpha,
         lasso_iterations=args.lasso_iters,
     )

@@ -38,18 +38,6 @@ class InitScheme(str, enum.Enum):
     SCALED_NORMAL = "scaled_normal"
 
 
-class RegularizerMode(str, enum.Enum):
-    """Explicit switch for the regularization term.
-
-    The disabled variant exists for fidelity experiments (e.g. checking the
-    linear solver against ordinary least squares); it is a distinct mode
-    rather than a magic alpha value because alpha must stay >= 1.
-    """
-
-    ENABLED = "on"
-    DISABLED = "off"
-
-
 @dataclass(frozen=True)
 class SubjectData:
     """One subject's neural responses: T time points by V_org voxels."""
@@ -253,14 +241,12 @@ class FitConfig:
     activation: Activation = Activation.SIGMOID
     init: InitScheme = InitScheme.SCALED_NORMAL
     seed: int = 0
-    regularizer: RegularizerMode = RegularizerMode.ENABLED
     lasso_alpha: float = 0.9
     lasso_iterations: int = 500
 
     def __post_init__(self):
         object.__setattr__(self, "activation", Activation(self.activation))
         object.__setattr__(self, "init", InitScheme(self.init))
-        object.__setattr__(self, "regularizer", RegularizerMode(self.regularizer))
         # each guard is written so that NaN fails it
         if not 1.0 <= self.alpha < np.inf:
             raise DrslError(f"alpha must be >= 1 and finite, got {self.alpha}")

@@ -40,24 +40,6 @@ _RESIDUAL_FLOOR = 1e-8
 _DOMINANCE_FRACTION = 0.5
 
 
-def pearson_corr(a, b) -> float:
-    """Sample Pearson correlation of two vectors."""
-    x = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(b, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
-        raise ShapeMismatch(f"need >= 2 entries, got {x.shape[0]}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = float(np.sqrt(xc @ xc))
-    ny = float(np.sqrt(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
-        raise DrslError("correlation of a constant vector is undefined")
-    r = float((xc @ yc) / (nx * ny))
-    return max(-1.0, min(1.0, r))
-
-
 def between_class_correlation(signatures) -> float:
     """Maximum absolute pairwise correlation between signature rows."""
     b = signature_array(signatures)
@@ -295,11 +277,11 @@ def fit_method(datasets, method: str, config: FitConfig, *,
     """Fit one of :data:`METHODS`, named exactly, on a dataset list.
 
     Every method takes its settings from ``config``: lasso its
-    ``lasso_alpha`` and ``lasso_iterations``, lrsl its ``alpha`` and
-    ``regularizer``, drsl all the rest; glm has none. Closed-form
-    baselines average the per-subject solutions into the group
-    signatures, mirroring the aggregation of the iterative fits. drsl needs
-    ``config.m1 >= 1``: with no outer iteration there is no fit to report.
+    ``lasso_alpha`` and ``lasso_iterations``, lrsl its ``alpha``, drsl
+    all the rest; glm has none. Closed-form baselines average the
+    per-subject solutions into the group signatures, mirroring the
+    aggregation of the iterative fits. drsl needs ``config.m1 >= 1``:
+    with no outer iteration there is no fit to report.
     ``first_fits`` is passed to drsl's :func:`drsl.optimizer.fit`; the
     other methods cost milliseconds and take no part in it.
     """

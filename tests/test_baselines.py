@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from drsl.baselines import fit_glm, fit_lasso, fit_lrsl
-from drsl.data_model import (
-    DesignMatrix,
-    FitConfig,
-    RegularizerMode,
-    SubjectData,
-)
+from drsl.data_model import DesignMatrix, FitConfig, SubjectData
 from drsl.errors import DrslError
 from drsl.optimizer import regularizer, signature_step, soft_threshold
 
@@ -94,12 +89,12 @@ class TestFitLasso:
     def test_negative_penalty_rejected(self):
         data, design, _ = make_problem()
         with pytest.raises(DrslError, match="alpha_lasso must be >= 0 and finite, got -1.0"):
-            fit_lasso(data, design, alpha_lasso=-1.0)
+            fit_lasso(data, design, alpha_lasso=-1.0, iterations=500)
 
     def test_nan_penalty_rejected(self):
         data, design, _ = make_problem()
         with pytest.raises(DrslError, match="alpha_lasso must be >= 0 and finite, got nan"):
-            fit_lasso(data, design, alpha_lasso=float("nan"))
+            fit_lasso(data, design, alpha_lasso=float("nan"), iterations=500)
 
     def test_auto_step_below_stability_limit(self):
         # a step above 1 / L diverges on a rescaled design; the automatic one
@@ -109,7 +104,7 @@ class TestFitLasso:
         for scale in (1e-3, 1.0, 1e3):
             d = scale * base.values
             design = DesignMatrix(conditions=base.conditions, values=d)
-            b = fit_lasso(data, design, alpha_lasso=alpha).values
+            b = fit_lasso(data, design, alpha_lasso=alpha, iterations=500).values
             grad = -2.0 * d.T @ (data.responses - d @ b)
             nz = b != 0
             assert np.all(np.abs(grad[nz] + alpha * np.sign(b[nz])) <= 1e-6 * alpha)
@@ -119,35 +114,10 @@ class TestFitLasso:
     def test_nonpositive_iterations_rejected(self, iterations):
         data, design, _ = make_problem()
         with pytest.raises(DrslError, match=f"lasso iterations must be >= 1, got {iterations}"):
-            fit_lasso(data, design, iterations=iterations)
+            fit_lasso(data, design, alpha_lasso=0.9, iterations=iterations)
 
 
 class TestFitLrsl:
-    def test_regularizer_disabled_full_batch_matches_ols_mean(self):
-        pairs = []
-        for s in range(2):
-            data, design, _ = make_problem(t=50, v=5, p=3, noise=0.2, seed=20 + s)
-            pairs.append((data, design))
-        lam = max(
-            np.linalg.eigvalsh(design.values.T @ design.values)[-1]
-            for _, design in pairs
-        )
-        cfg = FitConfig(
-            alpha=1.0,
-            regularizer=RegularizerMode.DISABLED,
-            eta=0.4 / lam,
-            m1=2,
-            m2=1000,
-            batch_size=50,
-            seed=13,
-        )
-        group = fit_lrsl(pairs, cfg)
-        ols_mean = np.mean(
-            [fit_glm(data, design).values for data, design in pairs], axis=0
-        )
-        rel = np.linalg.norm(group.signatures.values - ols_mean) / np.linalg.norm(ols_mean)
-        assert rel < 1e-3
-
     def test_fixed_seed_determinism(self):
         # the exact solve draws nothing: the seed and the kernel loop's
         # settings leave the result as it is

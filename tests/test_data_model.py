@@ -159,7 +159,6 @@ class TestFitConfig:
             FitConfig(batch_size=0)
 
     def test_string_enums_coerced(self):
-        cfg = FitConfig(activation="tanh", init="paper_normal", regularizer="off")
+        cfg = FitConfig(activation="tanh", init="paper_normal")
         assert cfg.activation.value == "tanh"
         assert cfg.init.value == "paper_normal"
-        assert cfg.regularizer.value == "off"

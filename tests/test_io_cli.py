@@ -432,8 +432,11 @@ class TestCli:
         # accuracy.csv comes from `drsl cv` only
         assert not os.path.exists(os.path.join(results, "accuracy.csv"))
 
-    def test_unknown_method_is_usage_error(self, tmp_path):
-        assert run(["fit", "--dataset", str(tmp_path), "--method", "unknown"]) == 2
+    def test_unknown_method_is_usage_error(self, tmp_path, capsys):
+        # a flag the command does not have is a usage error like an unknown method
+        for bad in (["--method", "unknown"], ["--method", "lrsl", "--regularizer", "off"]):
+            assert run(["fit", "--dataset", str(tmp_path), *bad]) == 2
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_dataset_is_compute_error(self, tmp_path):
         assert run(["fit", "--dataset", str(tmp_path / "nope"), "--method", "glm"]) == 1
@@ -581,8 +584,7 @@ class TestCli:
             "--alpha", str(echo["alpha"]), "--eta", str(echo["eta"]),
             "--m1", str(echo["m1"]), "--m2", str(echo["m2"]),
             "--batch", str(echo["batch"]), "--activation", echo["activation"],
-            "--init", echo["init"], "--seed", str(echo["seed"]),
-            "--regularizer", echo["regularizer"], "--out", out2,
+            "--init", echo["init"], "--seed", str(echo["seed"]), "--out", out2,
         ]
         assert run(argv) == 0
         assert open(os.path.join(out1, "correlation.csv")).read() == open(
@@ -600,7 +602,7 @@ class TestCli:
         echo = json.load(open(os.path.join(out, "run.json")))
         assert sorted(echo) == [
             "activation", "alpha", "batch", "dataset", "eta", "init", "lasso_alpha",
-            "lasso_iters", "layers", "m1", "m2", "method", "regularizer", "seed", "version",
+            "lasso_iters", "layers", "m1", "m2", "method", "seed", "version",
         ]
         assert echo["dataset"] == os.path.abspath(data_dir)
         assert (echo["method"], echo["lasso_alpha"], echo["lasso_iters"]) == ("lasso", 2.0, 500)
@@ -748,4 +750,6 @@ class TestCli:
         assert args.batch == cfg.batch_size
         assert args.activation == cfg.activation.value
         assert args.init == cfg.init.value
-        assert args.regularizer == cfg.regularizer.value
+        assert args.seed == cfg.seed
+        assert args.lasso_alpha == cfg.lasso_alpha
+        assert args.lasso_iters == cfg.lasso_iterations

@@ -7,7 +7,6 @@ from drsl.data_model import (
     DesignMatrix,
     FitConfig,
     NetworkParameters,
-    RegularizerMode,
     SignatureMatrix,
     SubjectData,
 )
@@ -19,9 +18,11 @@ from drsl.optimizer import (
     ADAM_EPSILON,
     ADAM_MU1,
     ADAM_MU2,
+    B_SOLVE_ITERATIONS,
     AdamState,
     SubjectFit,
     _data_term,
+    _elastic_net,
     _kkt_violation,
     adam_step,
     fit,
@@ -89,9 +90,10 @@ class TestSignatureStep:
             rng.standard_normal((n, v)),
         )
 
-    def test_disabled_regularizer_reaches_least_squares(self):
+    def test_zero_penalty_solve_reaches_least_squares(self):
+        # the solver under signature_step, run as the LASSO baseline runs it at alpha 0
         b, d, f = self.make()
-        got = signature_step(b, d, f, 10.0, RegularizerMode.DISABLED)
+        got = _elastic_net(d.T @ d, d.T @ f, b, 0.0, 0.0, B_SOLVE_ITERATIONS)
         ols, *_ = np.linalg.lstsq(d, f, rcond=None)
         np.testing.assert_allclose(got, ols, rtol=0, atol=1e-10)
 
@@ -125,7 +127,7 @@ class TestSignatureStep:
 
     def test_weight_scales_the_data_term(self):
         b, d, f = self.make(seed=3)
-        data = objective(b, d, f, 10.0, RegularizerMode.DISABLED)
+        data = float(np.sum((f - d @ b) ** 2))
         assert _data_term(f, d @ b, 2.5) == pytest.approx(2.5 * data)
 
 
@@ -451,7 +453,7 @@ class TestFitSubject:
         assert len(batches) == len(outputs) == cfg.m2
         weight = data.n_scans / cfg.batch_size
         expected = [
-            weight * objective(sig, design.values[idx], fb, cfg.alpha, RegularizerMode.DISABLED)
+            weight * float(np.sum((fb.astype(np.float64) - design.values[idx] @ sig.values) ** 2))
             + regularizer(sig, cfg.alpha)
             for idx, fb in zip(batches, outputs)
         ]
