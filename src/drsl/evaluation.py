@@ -326,18 +326,17 @@ def _class_means(mapped, designs, signatures: SignatureMatrix) -> np.ndarray:
 
     Classes that never dominate fall back to their signature row.
     """
-    p = signatures.n_conditions
-    v = signatures.n_features
-    sums = np.zeros((p, v))
-    counts = np.zeros(p)
-    for resp, design in zip(mapped, designs):
-        idx, labels = dominant_time_points(design)
-        # np.add.at adds in index order, as a loop over the scans would
-        np.add.at(sums, labels, resp[idx])
-        counts += np.bincount(labels, minlength=p)
+    picked = [dominant_time_points(design) for design in designs]
+    labels = np.concatenate([labels for _, labels in picked])
+    # a stable sort keeps each class's scans in subject, then scan order
+    order = np.argsort(labels, kind="stable")
+    rows = np.concatenate([resp[idx] for resp, (idx, _) in zip(mapped, picked)])[order]
+    classes, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
     means = signatures.values.copy()
-    have = counts > 0
-    means[have] = sums[have] / counts[have, None]
+    for c, start, n in zip(classes, starts, counts):
+        # a running sum adds one row at a time by definition, so its last row
+        # is the sum a loop over the class's scans in that order gives
+        means[c] = np.add.accumulate(rows[start:start + n], axis=0)[-1] / n
     return means
 
 

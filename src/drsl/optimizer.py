@@ -11,15 +11,16 @@ objective is a convex elastic net in B once theta is fixed.
 
 The kernel trains in :data:`TRAIN_DTYPE` (float32): theta and its
 gradient (writable ``NetworkParameters``), the Adam moments and the
-gathered batches. Theta is returned in the array it trained in, frozen
-read-only, and carries over to the next outer iteration as it is. B, the
-design, the objective, the B solve and the mapped run stay float64:
-:func:`drsl.kernel_net.forward` maps a float64 run in float64, widening
-each layer's float32 weights exactly. A group fit allocates the gradient
-and the Adam moments once and reuses them for every subject fit, and
-keeps only each subject's latest theta. Adam's constants are those of
-Kingma & Ba (2015): :data:`ADAM_MU1`, :data:`ADAM_MU2` and
-:data:`ADAM_EPSILON`.
+gathered batches. Each subject fit casts the run to float32 once; the
+batches are gathered from that array, and the whole-run map before the B
+solve maps it too, in float32. The map is widened to float64 before it is
+standardized, so the mapped run, B, the design, the objective and the B
+solve stay float64. Theta is returned in the array it trained in, frozen
+read-only, and carries over to the next outer iteration as it is. A group
+fit allocates the gradient and the Adam moments once and reuses them for
+every subject fit, and keeps only each subject's latest theta. Adam's
+constants are those of Kingma & Ba (2015): :data:`ADAM_MU1`,
+:data:`ADAM_MU2` and :data:`ADAM_EPSILON`.
 
 Held-out adaptation (:func:`fit_kernel_params`) is the same kernel loop
 without the B solve. The outer loop re-fits every subject from the current
@@ -38,6 +39,7 @@ list that holds it; ids must therefore be unique within a group
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,25 +203,30 @@ def sample_batch(rng: np.random.Generator, t: int, n: int) -> np.ndarray:
 
 
 # elements per block of adam_step: each block's slices of theta, the
-# gradient, both moments and the two scratch arrays stay in cache across
-# the update's dozen passes. Timed in float32 on the 2.05 M parameters of
-# the paper net, one thread: 65,536 beat 16,384, 32,768 and 131,072
+# gradient, both moments and the scratch array stay in cache across the
+# update's ten passes. Timed in float32 on the 2.05 M parameters of the
+# paper net, one thread: 65,536 beat 16,384, 32,768 and 131,072
 ADAM_BLOCK = 65_536
 
 
 class AdamState:
     """Adam's moment accumulators for ``theta``: flat vectors of its size and dtype.
 
-    ``delta`` (first moment) and ``gamma`` (second moment) start at zero
-    and :func:`adam_step` updates them in place; ``step_count`` counts the
-    steps taken. :meth:`reset` starts them over for another fit.
+    They hold Kingma & Ba's moments divided by (1 - mu): ``delta`` is the
+    first moment over (1 - mu1) and ``gamma`` the second over (1 - mu2), so
+    that :func:`adam_step` updates them as mu*delta + g and mu*gamma + g*g.
+    Both start at zero and are updated in place; ``step_count`` counts the
+    steps taken. The scaling holds only while every step passes the same
+    mu1 and mu2, so one state serves one pair of decays for its life, as
+    :data:`ADAM_MU1` and :data:`ADAM_MU2` always are. :meth:`reset` starts
+    it over for another fit.
     """
 
     def __init__(self, theta: NetworkParameters):
         self.delta = np.zeros_like(theta.flat)
         self.gamma = np.zeros_like(theta.flat)
         self.step_count = 0
-        self._scratch = np.empty((2, min(ADAM_BLOCK, self.delta.size)), dtype=self.delta.dtype)
+        self._scratch = np.empty(min(ADAM_BLOCK, self.delta.size), dtype=self.delta.dtype)
 
     def reset(self) -> None:
         """Zero both moments and the step count, in place."""
@@ -239,12 +246,18 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    With g the gradient and c_i = 1 - mu_i**k at step k:
-    delta = mu1*delta + (1-mu1)*g; gamma = mu2*gamma + ((1-mu2)*g)*g;
-    theta -= (eta*(delta/c1)) / (sqrt(gamma/c2) + epsilon). The flat
-    vectors are swept in blocks of :data:`ADAM_BLOCK` elements through two
-    reused scratch arrays, so a step allocates nothing, and computed in
-    their dtype.
+    Kingma & Ba's update with g the gradient and c_i = 1 - mu_i**k at step
+    k is m = mu1*m + (1-mu1)*g; v = mu2*v + (1-mu2)*g*g; theta -=
+    eta*(m/c1) / (sqrt(v/c2) + epsilon). The state holds delta = m/(1-mu1)
+    and gamma = v/(1-mu2) (see :class:`AdamState`), so the (1-mu) factors,
+    the bias corrections and epsilon fold into two scalars, and a step is
+    delta = mu1*delta + g; gamma = mu2*gamma + g*g; theta -= step *
+    delta / (sqrt(gamma) + eps), with step = eta*(1-mu1)*sqrt(c2) /
+    (c1*sqrt(1-mu2)) and eps = epsilon*sqrt(c2) / sqrt(1-mu2): the same
+    Adam, rounded differently. The flat vectors are swept in blocks of
+    :data:`ADAM_BLOCK` elements through one reused scratch array, ten
+    passes a block, so a step allocates nothing, and computed in their
+    dtype.
     """
     theta, g, delta, gamma = params.flat, grads.flat, state.delta, state.gamma
     if grads.layer_sizes != params.layer_sizes or delta.shape != theta.shape:
@@ -254,24 +267,23 @@ def adam_step(
     k = state.step_count + 1
     c1 = 1.0 - mu1**k
     c2 = 1.0 - mu2**k
+    # Python floats, so that the passes compute in the buffers' dtype
+    step = float(eta * (1.0 - mu1) * math.sqrt(c2) / (c1 * math.sqrt(1.0 - mu2)))
+    eps = float(epsilon * math.sqrt(c2) / math.sqrt(1.0 - mu2))
     for lo in range(0, theta.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, theta.size)
         gk, dk, ck, tk = g[lo:hi], delta[lo:hi], gamma[lo:hi], theta[lo:hi]
-        a, b = state._scratch[0, : hi - lo], state._scratch[1, : hi - lo]
+        a = state._scratch[: hi - lo]
         np.multiply(dk, mu1, out=dk)
-        np.multiply(gk, 1.0 - mu1, out=a)
-        np.add(dk, a, out=dk)
+        np.add(dk, gk, out=dk)
+        np.multiply(gk, gk, out=a)
         np.multiply(ck, mu2, out=ck)
-        np.multiply(gk, 1.0 - mu2, out=a)
-        np.multiply(a, gk, out=a)
         np.add(ck, a, out=ck)
-        np.divide(ck, c2, out=a)
-        np.sqrt(a, out=a)
-        np.add(a, epsilon, out=a)
-        np.divide(dk, c1, out=b)
-        np.multiply(b, eta, out=b)
-        np.divide(b, a, out=b)
-        np.subtract(tk, b, out=tk)
+        np.sqrt(ck, out=a)
+        np.add(a, eps, out=a)
+        np.divide(dk, a, out=a)
+        np.multiply(a, step, out=a)
+        np.subtract(tk, a, out=tk)
     state.step_count = k
 
 
@@ -324,7 +336,8 @@ def _train_buffers(sizes) -> tuple[NetworkParameters, AdamState]:
 
 
 def _train(
-    data: SubjectData,
+    subject_id: str,
+    x: np.ndarray,
     design: DesignMatrix,
     signatures: SignatureMatrix,
     config: FitConfig,
@@ -335,19 +348,18 @@ def _train(
 ) -> tuple[NetworkParameters, np.ndarray]:
     """The kernel loop of one subject: M2 Adam steps on theta, B frozen.
 
-    Per iteration: draw a batch, log the batch objective with its data term
+    ``x`` is the subject's run cast to :data:`TRAIN_DTYPE`, and the caller
+    has checked it against ``design`` (:func:`validate_pair`). Per
+    iteration: draw a batch, log the batch objective with its data term
     weighted by T / n, then take an Adam step on theta against the targets
     d_i B. Theta is a fresh :data:`TRAIN_DTYPE` copy of ``initial_params``
     when given, otherwise of a fresh draw, and trains in place on batches
-    gathered from X cast once. The gradient and the Adam state are
-    ``buffers`` (from :func:`_train_buffers`; reset here, so one pair
-    serves many fits), or fresh ones when None. Returns theta, frozen
-    read-only in :data:`TRAIN_DTYPE`, and the loss history. A non-finite
-    loss raises :class:`NonFinite` naming the subject, ``where`` and the
-    step.
+    gathered from ``x``. The gradient and the Adam state are ``buffers``
+    (from :func:`_train_buffers`; reset here, so one pair serves many
+    fits), or fresh ones when None. Returns theta, frozen read-only in
+    :data:`TRAIN_DTYPE`, and the loss history. A non-finite loss raises
+    :class:`NonFinite` naming the subject, ``where`` and the step.
     """
-    validate_pair(data, design)
-    x = data.responses.astype(TRAIN_DTYPE)
     d = design.values
     t = x.shape[0]
     if config.batch_size > t:
@@ -379,7 +391,7 @@ def _train(
         ) + penalty
         if not np.isfinite(losses[k]):
             raise NonFinite(
-                f"subject {data.subject_id!r} diverged at {where}, step {k}: batch "
+                f"subject {subject_id!r} diverged at {where}, step {k}: batch "
                 f"loss {losses[k]!r} (try a smaller eta)"
             )
         adam_step(state, grads, theta, config.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
@@ -425,20 +437,32 @@ def fit_subject(
 ) -> SubjectFit:
     """Fit theta against B frozen at ``b_init``, then B exactly from ``b_init``.
 
-    The B solve (:func:`signature_step`) maps the whole run once, in
-    float64, to ``mapped_responses`` f = standardize_outputs(forward(params,
-    X)). ``params`` is the raw network, read-only float32, which
+    The run is cast to :data:`TRAIN_DTYPE` once, for the batches and for
+    the B solve (:func:`signature_step`), which maps the whole run once in
+    float32 and standardizes the map widened to float64:
+    ``mapped_responses`` f = standardize_outputs(float64(forward(params,
+    float32(X)))). The mean and scale are taken in float64, so every column
+    of f is centred to float64 rounding. ``params`` is the raw network,
+    read-only float32, which
     :func:`drsl.kernel_net.fold_output_standardization` turns into the
     fitted kernel. A divergence names ``outer`` as its outer iteration.
     The fit draws from the subject's own stream for ``outer``
     (:func:`subject_stream`), which :func:`fit` relies on. ``_buffers`` is
     internal: :func:`fit` passes every subject fit the same gradient
-    buffer and Adam state (see :func:`_train`).
+    buffer and Adam state (see :func:`_train`), and has checked every pair
+    with :func:`check_group`, so a call that passes ``_buffers`` does not
+    run :func:`validate_pair` again.
     """
+    if _buffers is None:
+        validate_pair(data, design)
     rng = subject_stream(config.seed, data.subject_id, _STREAM_SUBJECT, outer)
     where = f"outer iteration {outer}"
-    params, losses = _train(data, design, b_init, config, rng, where, initial_params, _buffers)
-    mapped = standardize_outputs(forward(params, data.responses, config.activation)[0])[0]
+    x = data.responses.astype(TRAIN_DTYPE)
+    params, losses = _train(
+        data.subject_id, x, design, b_init, config, rng, where, initial_params, _buffers
+    )
+    z = forward(params, x, config.activation)[0]
+    mapped = standardize_outputs(z.astype(np.float64))[0]
     b = signature_step(b_init, design.values, mapped, config.alpha)
     if not np.all(np.isfinite(b)):
         raise NonFinite(
@@ -491,8 +515,9 @@ def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> Group
     theta carried over from the subject's previous outer iteration (drawn
     fresh in the first), then replaces the group signatures with the
     subject mean. Every subject fit trains in one gradient buffer and Adam
-    state. Of a subject's previous fit only theta is kept, and only until
-    it has seeded the subject's next fit.
+    state, and every pair is validated once, by :func:`check_group`. Of a
+    subject's previous fit only theta is kept, and only until it has
+    seeded the subject's next fit.
 
     ``first_fits`` shares outer-iteration-0 subject fits between calls on
     overlapping dataset lists. Such a fit depends only on the subject's
@@ -554,6 +579,10 @@ def fit_kernel_params(
     for adaptation. The fit draws from the subject's own adaptation
     stream (:func:`subject_stream`).
     """
+    validate_pair(data, design)
     rng = subject_stream(config.seed, data.subject_id, _STREAM_ADAPT)
-    params, losses = _train(data, design, signatures, config, rng, "kernel adaptation")
+    params, losses = _train(
+        data.subject_id, data.responses.astype(TRAIN_DTYPE), design, signatures, config,
+        rng, "kernel adaptation",
+    )
     return SubjectFit(signatures=signatures, params=params, loss_history=losses)

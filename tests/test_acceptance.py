@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from drsl.baselines import fit_glm
 from drsl.cli import run_cli
@@ -217,46 +218,68 @@ def test_criterion_5b_drsl_correlation_parity_with_glm():
     assert mean_drsl <= mean_glm + 0.05
 
 
-def test_criterion_6_nonlinear_advantage_over_linear_ablation():
-    # The quadratic warp gain is 1.0: at the default 0.3 the linear
-    # ablation already scores ~1.0 and a 5-point margin cannot exist. The
-    # ceiling assertion below keeps the workload from saturating again.
+def _criterion_6_case(seed):
+    """Criterion 6's dataset and its (lrsl, drsl) configs at ``seed``.
+
+    The quadratic warp gain is 1.0: at the default 0.3 the linear ablation
+    already scores ~1.0 and a 5-point margin cannot exist.
+    """
+    spec = SynthSpec(
+        n_subjects=6,
+        n_scans=480,
+        n_voxels=24,
+        n_conditions=4,
+        snr=2.0,
+        nonlinearity="quadratic_mix",
+        signature_style="correlated",
+        rho=0.9,
+        seed=seed,
+        tr=0.5,
+        block_scans=8,
+        rest_scans=24,
+        quadratic_gain=1.0,
+    )
+    lrsl_cfg = FitConfig(alpha=1.0, eta=1e-3, m1=1, m2=350, batch_size=240, seed=seed)
+    drsl_cfg = FitConfig(
+        layer_sizes=(24, 96, 96, 12),
+        activation="tanh",
+        init="paper_normal",
+        alpha=1.0,
+        eta=3e-3,
+        m1=1,
+        m2=350,
+        batch_size=240,
+        seed=seed,
+    )
+    return generate_dataset(spec), lrsl_cfg, drsl_cfg
+
+
+@pytest.fixture(scope="module")
+def criterion_6_drsl():
+    """Criterion 6's five drsl CV mean accuracies, seeds 0-4, and their seconds.
+
+    Criteria 6 and 6b score the same drsl CVs, so they run once per module.
+    """
     t0 = time.perf_counter()
-    lrsl_accs, drsl_accs = [], []
+    accs = []
     for seed in range(5):
-        spec = SynthSpec(
-            n_subjects=6,
-            n_scans=480,
-            n_voxels=24,
-            n_conditions=4,
-            snr=2.0,
-            nonlinearity="quadratic_mix",
-            signature_style="correlated",
-            rho=0.9,
-            seed=seed,
-            tr=0.5,
-            block_scans=8,
-            rest_scans=24,
-            quadratic_gain=1.0,
-        )
-        ds = generate_dataset(spec)
-        lrsl_cfg = FitConfig(alpha=1.0, eta=1e-3, m1=1, m2=350, batch_size=240, seed=seed)
-        drsl_cfg = FitConfig(
-            layer_sizes=(24, 96, 96, 12),
-            activation="tanh",
-            init="paper_normal",
-            alpha=1.0,
-            eta=3e-3,
-            m1=1,
-            m2=350,
-            batch_size=240,
-            seed=seed,
-        )
+        ds, _, drsl_cfg = _criterion_6_case(seed)
+        accs.append(cross_validate(ds.pairs, "drsl", drsl_cfg).mean_accuracy)
+    return accs, time.perf_counter() - t0
+
+
+def test_criterion_6_nonlinear_advantage_over_linear_ablation(criterion_6_drsl):
+    # The ceiling assertion below keeps the workload from saturating again.
+    # The elapsed time counts the shared drsl CVs as well.
+    t0 = time.perf_counter()
+    drsl_accs, drsl_seconds = criterion_6_drsl
+    lrsl_accs = []
+    for seed in range(5):
+        ds, lrsl_cfg, _ = _criterion_6_case(seed)
         lrsl_accs.append(cross_validate(ds.pairs, "lrsl", lrsl_cfg).mean_accuracy)
-        drsl_accs.append(cross_validate(ds.pairs, "drsl", drsl_cfg).mean_accuracy)
     mean_lrsl = float(np.mean(lrsl_accs))
     mean_drsl = float(np.mean(drsl_accs))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0 + drsl_seconds
     ok = mean_drsl >= mean_lrsl + 0.05 and elapsed < 600.0
     report(
         "6",
@@ -302,30 +325,21 @@ def _fixed_kernel_features(x):
     return features
 
 
-def test_criterion_6b_learned_kernel_beats_fixed_gaussian_kernel():
+def test_criterion_6b_learned_kernel_beats_fixed_gaussian_kernel(criterion_6_drsl):
     # The paper's claim that a kernel learned per subject beats a fixed
     # nonlinear kernel such as the Gaussian. Each fixed map acts per scan,
     # so the held-out subject needs no adaptation: its columns are
     # standardized and criterion 6's lrsl runs on them unchanged. drsl
     # must beat the best fixed kernel by 5 points, on criterion 6's data,
-    # seeds and configs. The run should take under 30 s; it is reported,
-    # not asserted: criterion 6's drsl CV alone takes about two thirds of
-    # it, and a loaded machine would fail a timing bound that close.
+    # seeds and configs; its accuracies are criterion 6's own drsl CVs. The
+    # run, those CVs included, should take under 30 s; it is reported, not
+    # asserted: the drsl CVs alone take about two thirds of it, and a
+    # loaded machine would fail a timing bound that close.
     t0 = time.perf_counter()
-    drsl_accs, fixed_accs = [], {}
+    drsl_accs, drsl_seconds = criterion_6_drsl
+    fixed_accs = {}
     for seed in range(5):
-        spec = SynthSpec(
-            n_subjects=6, n_scans=480, n_voxels=24, n_conditions=4, snr=2.0,
-            nonlinearity="quadratic_mix", signature_style="correlated", rho=0.9,
-            seed=seed, tr=0.5, block_scans=8, rest_scans=24, quadratic_gain=1.0,
-        )
-        ds = generate_dataset(spec)
-        lrsl_cfg = FitConfig(alpha=1.0, eta=1e-3, m1=1, m2=350, batch_size=240, seed=seed)
-        drsl_cfg = FitConfig(
-            layer_sizes=(24, 96, 96, 12), activation="tanh", init="paper_normal",
-            alpha=1.0, eta=3e-3, m1=1, m2=350, batch_size=240, seed=seed,
-        )
-        drsl_accs.append(cross_validate(ds.pairs, "drsl", drsl_cfg).mean_accuracy)
+        ds, lrsl_cfg, _ = _criterion_6_case(seed)
         per_subject = [_fixed_kernel_features(data.responses) for data, _ in ds.pairs]
         for k, (name, _) in enumerate(per_subject[0]):
             mapped = [
@@ -337,7 +351,7 @@ def test_criterion_6b_learned_kernel_beats_fixed_gaussian_kernel():
     best_name = max(fixed_accs, key=lambda name: np.mean(fixed_accs[name]))
     mean_fixed = float(np.mean(fixed_accs[best_name]))
     mean_drsl = float(np.mean(drsl_accs))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0 + drsl_seconds
     ok = mean_drsl >= mean_fixed + 0.05
     report(
         "6b",

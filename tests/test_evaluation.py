@@ -390,6 +390,39 @@ class TestArrayPathMatchesLoop:
         np.testing.assert_array_equal(hamming_decode(bits, codebook), labels)
 
 
+def _loop_class_means(mapped, designs, b):
+    """Per-class means of the dominant scans, summed one scan at a time in
+    subject, then scan order; a class that never dominates keeps its row of b."""
+    sums, counts = np.zeros_like(b), np.zeros(b.shape[0])
+    for resp, design in zip(mapped, designs):
+        for t, c in zip(*dominant_time_points(design)):
+            sums[c] += resp[t]
+            counts[c] += 1
+    return np.array([s / n if n else row for s, n, row in zip(sums, counts, b)])
+
+
+class TestClassMeans:
+    @pytest.mark.parametrize("v", [1, 3, 40])
+    def test_bit_identical_to_the_per_scan_loop(self, v):
+        # rows spread over 16 orders of magnitude, so any other summation
+        # order would round differently; class 3 never dominates
+        from drsl.evaluation import _class_means
+
+        rng = np.random.default_rng(v)
+        p, designs, mapped = 4, [], []
+        for t in (90, 120, 75):
+            d = rng.uniform(0.0, 1.0, (t, p))
+            d[:, 3] = 0.0
+            designs.append(DesignMatrix(tuple(f"c{k}" for k in range(p)), d))
+            mapped.append(rng.standard_normal((t, v)) * 10.0 ** rng.uniform(-8, 8, (t, 1)))
+        b = rng.standard_normal((p, v))
+        got = _class_means(mapped, designs, SignatureMatrix(b))
+        expected = _loop_class_means(mapped, designs, b)
+        assert got.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(got[3], b[3])
+
+
 class TestDominantTimePoints:
     def test_block_design_labels(self):
         spec = SynthSpec(n_subjects=2, n_scans=200, n_voxels=10, n_conditions=3, seed=3)
@@ -675,8 +708,9 @@ class TestDeepFit:
         for (data, _), sub, mapped in zip(
             ds.pairs, deep.group.subject_fits, deep.mapped_responses
         ):
-            z, _ = forward(sub.params, data.responses, cfg.activation)
-            np.testing.assert_array_equal(mapped, standardize_outputs(z)[0])
+            # the run maps in float32 and is standardized widened to float64
+            z, _ = forward(sub.params, data.responses.astype(np.float32), cfg.activation)
+            np.testing.assert_array_equal(mapped, standardize_outputs(z.astype(np.float64))[0])
 
 
 class TestAdaptTestSubject:

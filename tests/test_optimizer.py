@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,12 +191,23 @@ class TestSampleBatch:
 
 
 def _reference_adam(theta, delta, gamma, g, k, eta, mu1, mu2, eps):
-    """Functional Adam on one array, as each layer was updated before the
-    update became in place; returns new (theta, delta, gamma)."""
+    """Textbook functional Adam on one array (Kingma & Ba, Algorithm 1);
+    returns new (theta, delta, gamma), the moments as the paper defines them."""
     delta = mu1 * delta + (1.0 - mu1) * g
     gamma = mu2 * gamma + (1.0 - mu2) * g * g
     denom = np.sqrt(gamma / (1.0 - mu2**k)) + eps
     return theta - eta * (delta / (1.0 - mu1**k)) / denom, delta, gamma
+
+
+def _scaled_adam(theta, delta, gamma, g, k, eta, mu1, mu2, eps):
+    """Functional Adam on moments divided by (1 - mu), in adam_step's order
+    of operations; returns new (theta, delta, gamma), the moments scaled."""
+    c1, c2 = 1.0 - mu1**k, 1.0 - mu2**k
+    step = eta * (1.0 - mu1) * math.sqrt(c2) / (c1 * math.sqrt(1.0 - mu2))
+    eps_scaled = eps * math.sqrt(c2) / math.sqrt(1.0 - mu2)
+    delta = mu1 * delta + g
+    gamma = mu2 * gamma + g * g
+    return theta - delta / (np.sqrt(gamma) + eps_scaled) * step, delta, gamma
 
 
 def _writable(params, dtype=np.float64):
@@ -268,7 +281,7 @@ class TestAdamStep:
             adam_step(state, grads, params, eta, mu1, mu2, eps)
             g_arrays = [a for layer in grads.layers for a in layer]
             for entry, g in zip(ref, g_arrays):
-                entry[:] = _reference_adam(*entry, g, k, eta, mu1, mu2, eps)
+                entry[:] = _scaled_adam(*entry, g, k, eta, mu1, mu2, eps)
         # theta, delta and gamma are flat, in the order of params.layers
         bounds = np.cumsum([entry[0].size for entry in ref])[:-1]
         for got, i in ((params.flat, 0), (state.delta, 1), (state.gamma, 2)):
@@ -283,7 +296,8 @@ class TestAdamStep:
 
     def test_float32_buffers_match_functional_reference_across_blocks(self):
         # as the bit-identical test above, with float32 theta, gradient and
-        # moments against the float64 reference
+        # moments against the float64 textbook reference: theta as written,
+        # the moments once multiplied back by (1 - mu)
         sizes = (400, 200, 250, 10)
         params64 = init_params(sizes, "scaled_normal", rng=np.random.default_rng(3))
         params = params64.astype(np.float32)
@@ -303,10 +317,34 @@ class TestAdamStep:
                 entry[:] = _reference_adam(*entry, g, k, eta, mu1, mu2, eps)
         # each array against its own reference, as scales differ by layer
         bounds = np.cumsum([entry[0].size for entry in ref])[:-1]
-        for got, i in ((params.flat, 0), (state.delta, 1), (state.gamma, 2)):
+        moments = (params.flat, (1.0 - mu1) * state.delta.astype(np.float64),
+                   (1.0 - mu2) * state.gamma.astype(np.float64))
+        for i, got in enumerate(moments):
             for a, entry in zip(np.split(got, bounds), ref):
                 e = np.ravel(entry[i])
                 np.testing.assert_allclose(a, e, rtol=1e-5, atol=1e-6 * np.max(np.abs(e)))
+
+    def test_fifty_float64_steps_match_textbook_adam_across_blocks(self):
+        # the scaled moments are the same Adam rounded differently: over 50
+        # float64 steps, across an ADAM_BLOCK boundary, theta and the moments
+        # multiplied back by (1 - mu) stay within rtol 1e-12 and an atol of
+        # 1e-12 times the largest reference magnitude of the textbook
+        # recurrence, a bound fixed before this test first ran
+        sizes = (400, 200, 250, 10)
+        params, state = self.make(seed=5, sizes=sizes)
+        assert ADAM_BLOCK < params.flat.size
+        ref = [params.flat.copy(), np.zeros(params.flat.size), np.zeros(params.flat.size)]
+        grads = NetworkParameters(None, sizes)
+        rng = np.random.default_rng(11)
+        eta, mu1, mu2, eps = 1e-2, ADAM_MU1, ADAM_MU2, ADAM_EPSILON
+        for k in range(1, 51):
+            grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.uniform(-4, 2)
+            adam_step(state, grads, params, eta, mu1, mu2, eps)
+            ref[:] = _reference_adam(*ref, grads.flat.copy(), k, eta, mu1, mu2, eps)
+        got = (params.flat, (1.0 - mu1) * state.delta, (1.0 - mu2) * state.gamma)
+        for a, e in zip(got, ref):
+            np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12 * np.max(np.abs(e)))
+        assert state.step_count == 50
 
     def test_mismatched_dtypes_raise(self):
         params, state = self.make()
@@ -339,7 +377,9 @@ class TestFitSubject:
         for (w1, c1), (w2, c2) in zip(out.params.layers, start.layers):
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(c1, c2)
-        f = standardize_outputs(forward(start, data.responses)[0])[0]
+        # the run maps in float32 and is standardized widened to float64
+        z = forward(start.astype(np.float32), data.responses.astype(np.float32))[0]
+        f = standardize_outputs(z.astype(np.float64))[0]
         np.testing.assert_array_equal(out.mapped_responses, f)
         np.testing.assert_array_equal(
             out.signatures.values, signature_step(b0, design.values, f, cfg.alpha)
@@ -407,8 +447,10 @@ class TestFitSubject:
         for alpha in (1.0, 10.0):
             cfg = FitConfig(alpha=alpha, m2=10, batch_size=20, layer_sizes=(8, 6, 5, 4), seed=1)
             out = fit_subject(data, design, SignatureMatrix(b0), cfg)
-            # the run's standardized kernel outputs, mapped here from the result
-            f = standardize_outputs(forward(out.params, data.responses)[0])[0]
+            # the run's standardized kernel outputs, mapped here from the
+            # result as the fit maps them: in float32, standardized in float64
+            z = forward(out.params, data.responses.astype(np.float32))[0]
+            f = standardize_outputs(z.astype(np.float64))[0]
             b = out.signatures.values
             assert _kkt_violation(b, design.values, f, alpha) < 1e-9
             # the B solve never ends above its warm start on the full run
@@ -509,11 +551,21 @@ class TestFitSubject:
         assert (ADAM_MU1, ADAM_MU2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
         constants = (cfg.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
         assert seen == [(*(np.float32,) * 4, constants)] * cfg.m2
-        # theta is the float32 array it trained in, frozen; the run maps in float64
+        # theta is the float32 array it trained in, frozen; the mapped run is float64
         assert not out.params.flat.flags.writeable
         for a in (out.params.flat, *(a for layer in out.params.layers for a in layer)):
             assert a.dtype == np.float32 and not a.flags.writeable
         assert out.mapped_responses.dtype == out.signatures.values.dtype == np.float64
+
+    def test_mapped_run_is_standardized_in_float64_at_500_outputs(self):
+        # a float32 standardization of a 500-wide map leaves column means
+        # near 1e-8, which the paper-fit check (mean <= 1e-9) refuses
+        data, design = make_subject(t=300, v=500)
+        cfg = FitConfig(m2=3, batch_size=50, layer_sizes=(500, 64, 64, 500), seed=2)
+        mapped = fit_subject(data, design, SignatureMatrix(np.ones((3, 500))), cfg).mapped_responses
+        assert mapped.dtype == np.float64
+        assert np.max(np.abs(mapped.mean(axis=0))) <= 1e-12
+        assert np.max(np.abs(mapped.var(axis=0) - 1.0)) <= 1e-3
 
     def test_loss_history_length(self):
         data, design = make_subject()
@@ -642,6 +694,33 @@ class TestGroupFit:
             np.testing.assert_array_equal(a, b)
 
 
+    def test_each_pair_is_validated_once_per_call(self, monkeypatch):
+        # fit checks every pair in check_group and no subject fit checks it
+        # again; a direct subject fit or adaptation checks its own pair
+        import drsl.optimizer as opt
+
+        checked = []
+        validate = opt.validate_pair
+
+        def spy(data, design):
+            checked.append(data.subject_id)
+            validate(data, design)
+
+        monkeypatch.setattr(opt, "validate_pair", spy)
+        pairs = [make_subject(seed=s) for s in range(3)]
+        cfg = FitConfig(m1=2, m2=3, batch_size=20, seed=4, layer_sizes=(8, 6, 5, 4))
+        group = fit(pairs, cfg)
+        assert checked == ["s0", "s1", "s2"]
+        checked.clear()
+        fit_subject(*pairs[1], group.signatures, cfg)
+        fit_kernel_params(*pairs[2], group.signatures, cfg)
+        assert checked == ["s1", "s2"]
+        data, design = pairs[0]
+        short = DesignMatrix(design.conditions, design.values[:-1])
+        for call in (fit_subject, fit_kernel_params):
+            with pytest.raises(ShapeMismatch, match="responses have 60 scans but design has 59"):
+                call(data, short, group.signatures, cfg)
+
     def test_first_fits_do_not_depend_on_subject_order(self):
         # each subject draws from streams keyed by its id, and the start B
         # from the config seed, so a subject's first outer iteration fits
@@ -716,7 +795,8 @@ class TestSeedStream:
              subject_stream(9, data.subject_id, _STREAM_ADAPT)),
         ]
         for fitted, rng in cases:
-            params, losses = _train(data, design, sig, cfg, rng, "by hand")
+            x = data.responses.astype(np.float32)
+            params, losses = _train(data.subject_id, x, design, sig, cfg, rng, "by hand")
             np.testing.assert_array_equal(fitted.loss_history, losses)
             for (wa, _), (wb, _) in zip(fitted.params.layers, params.layers):
                 np.testing.assert_array_equal(wa, wb)
