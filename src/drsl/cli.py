@@ -273,7 +273,8 @@ def _cmd_gradcheck(args) -> int:
         d = rng.standard_normal((9, 2))
         b = rng.standard_normal((2, sizes[-1]))
         x64 = x.astype(np.float64)
-        # theta, writable in float64, so that each entry can be nudged
+        # the float32 draw widened to a writable float64 theta, so that each
+        # entry can be nudged
         theta, grads, scratch = (NetworkParameters(None, sizes) for _ in range(3))
         theta.flat[:] = params.flat
         _batch_gradient(theta, x64, d, b, activation, 1.0, grads)
@@ -286,7 +287,7 @@ def _cmd_gradcheck(args) -> int:
             fd = (plus - minus) / (2 * h)
             worst_fd = max(worst_fd, abs(grads.flat[i] - fd) / max(1.0, abs(fd)))
         grads32 = NetworkParameters(None, sizes, TRAIN_DTYPE)
-        _batch_gradient(params.astype(TRAIN_DTYPE), x, d, b, activation, 1.0, grads32)
+        _batch_gradient(params, x, d, b, activation, 1.0, grads32)
         err = np.max(np.abs(grads32.flat - grads.flat)) / np.max(np.abs(grads.flat))
         worst_f32 = max(worst_f32, float(err))
     worst_b = 0.0

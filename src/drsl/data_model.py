@@ -140,9 +140,11 @@ class NetworkParameters:
     Writability: built from ``layers`` in float64, the vector is a
     read-only copy. In any other dtype, or from ``layers=None`` (all zeros),
     it is writable: training keeps theta and its gradient in
-    :data:`drsl.optimizer.TRAIN_DTYPE` ones. :meth:`freeze` makes a network
-    read-only in place; every fitted network is frozen, float32 ones
-    included, because several results may share it.
+    :data:`drsl.optimizer.TRAIN_DTYPE` ones, and
+    :func:`drsl.kernel_net.init_params` draws into a writable float32 one,
+    which training takes as theta. :meth:`freeze` makes a network read-only
+    in place; every fitted network is frozen, float32 ones included,
+    because several results may share it.
     """
 
     def __init__(self, layers, layer_sizes, dtype=np.float64):
@@ -293,11 +295,13 @@ def standardize_columns(data: SubjectData) -> SubjectData:
     whole-dataset fit.
     """
     x = data.responses
-    if x.shape[0] < 2:
-        raise ShapeMismatch(f"standardization needs >= 2 rows, got {x.shape[0]}")
+    n = x.shape[0]
+    if n < 2:
+        raise ShapeMismatch(f"standardization needs >= 2 rows, got {n}")
     constant = x.max(axis=0) == x.min(axis=0)
-    std = x.std(axis=0, ddof=1)
-    safe = np.where(std > 0, std, 1.0)
-    out = (x - x.mean(axis=0)) / safe
+    # centred once; the mean and the sample std are x.mean's and x.std's, bit for bit
+    out = x - np.add.reduce(x, axis=0) / n
+    std = np.sqrt(np.add.reduce(np.square(out), axis=0) / (n - 1))
+    out /= np.where(std > 0, std, 1.0)
     out[:, constant] = 0.0
     return SubjectData(subject_id=data.subject_id, responses=out)

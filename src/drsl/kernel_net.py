@@ -29,10 +29,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import Activation, InitScheme, NetworkParameters, validate_layer_sizes
+from .data_model import Activation, InitScheme, NetworkParameters
 from .errors import ShapeMismatch
 
 _STANDARDIZE_EPS = 1e-8
+
+# normals per draw of init_params: its float64 scratch array is 512 KiB
+_DRAW_CHUNK = 65_536
 
 
 def default_layer_sizes(v_org: int) -> tuple[int, ...]:
@@ -57,24 +60,29 @@ def init_params(
     scheme: InitScheme | str,
     rng: np.random.Generator,
 ) -> NetworkParameters:
-    """Draw initial weights and biases from ``rng``.
+    """Draw initial weights and biases from ``rng`` into a writable float32 network.
 
     ``paper_normal`` uses i.i.d. standard normals; ``scaled_normal`` scales
     the standard deviation by 1/sqrt(fan_in), which keeps wide sigmoid
-    layers out of saturation. Each value is rounded to float32, so a network
-    that trains in float32 starts from exactly these parameters.
+    layers out of saturation. Each layer draws its weights, then its
+    biases, :data:`_DRAW_CHUNK` normals at a time through one float64
+    scratch array; each chunk is scaled in float64 and rounded to float32
+    as it is written, so the values are
+    ``(rng.standard_normal(shape) * std).astype(np.float32)`` per array and
+    no float64 copy of the network is made. Training uses the result as
+    theta; a caller that needs float64 takes ``.astype(np.float64)``.
     """
-    sizes = tuple(int(s) for s in layer_sizes)
-    validate_layer_sizes(sizes)
+    params = NetworkParameters(None, layer_sizes, np.float32)
     scheme = InitScheme(scheme)
-    layers = []
-    for m in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[m], sizes[m + 1]
+    scratch = np.empty(min(_DRAW_CHUNK, params.flat.size))
+    for fan_in, (w, b) in zip(params.layer_sizes, params.layers):
         std = 1.0 if scheme is InitScheme.PAPER_NORMAL else 1.0 / np.sqrt(fan_in)
-        w = (rng.standard_normal((fan_out, fan_in)) * std).astype(np.float32)
-        b = (rng.standard_normal(fan_out) * std).astype(np.float32)
-        layers.append((w, b))
-    return NetworkParameters(layers=tuple(layers), layer_sizes=sizes)
+        for a in (w.reshape(-1), b):
+            for lo in range(0, a.size, _DRAW_CHUNK):
+                view = a[lo : lo + _DRAW_CHUNK]
+                normals = rng.standard_normal(out=scratch[: view.size])
+                np.multiply(normals, std, out=view, casting="same_kind")
+    return params
 
 
 def _apply_activation(z: np.ndarray, activation: Activation) -> np.ndarray:
@@ -97,7 +105,7 @@ def _activation_derivative(h: np.ndarray, activation: Activation) -> np.ndarray:
     if activation is Activation.SIGMOID:
         return h * (1.0 - h)
     if activation is Activation.TANH:
-        return 1.0 - h * h
+        return 1.0 - np.square(h)
     return (h > 0).astype(h.dtype)
 
 
@@ -155,7 +163,7 @@ def standardize_outputs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     residue = np.add.reduce(centered, axis=0) / n
     centered -= residue
     mean += residue
-    scale = np.sqrt(np.add.reduce(centered * centered, axis=0) / n + _STANDARDIZE_EPS)
+    scale = np.sqrt(np.add.reduce(np.square(centered), axis=0) / n + _STANDARDIZE_EPS)
     return centered / scale, scale, mean
 
 

@@ -11,7 +11,9 @@ objective is a convex elastic net in B once theta is fixed.
 
 The kernel trains in :data:`TRAIN_DTYPE` (float32): theta and its
 gradient (writable ``NetworkParameters``), the Adam moments and the
-gathered batches. Each subject fit casts the run to float32 once; the
+gathered batches. A fresh theta is the float32 network that
+:func:`drsl.kernel_net.init_params` draws into, so no fit holds a float64
+copy of its kernel. Each subject fit casts the run to float32 once; the
 batches are gathered from that array, and the whole-run map before the B
 solve maps it too, in float32. The map is widened to float64 before it is
 standardized, so the mapped run, B, the design, the objective and the B
@@ -136,7 +138,7 @@ def objective(b, design_rows: np.ndarray, f_outputs: np.ndarray, alpha: float) -
 def _data_term(f_outputs: np.ndarray, targets: np.ndarray, data_weight: float) -> float:
     """w * ||f - targets||^2 in float64; a float32 ``f_outputs`` widens exactly."""
     resid = f_outputs - targets
-    return data_weight * float(np.add.reduce(resid * resid, axis=None))
+    return data_weight * float(np.add.reduce(np.square(resid, out=resid), axis=None))
 
 
 def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -276,7 +278,7 @@ def adam_step(
         a = state._scratch[: hi - lo]
         np.multiply(dk, mu1, out=dk)
         np.add(dk, gk, out=dk)
-        np.multiply(gk, gk, out=a)
+        np.square(gk, out=a)
         np.multiply(ck, mu2, out=ck)
         np.add(ck, a, out=ck)
         np.sqrt(ck, out=a)
@@ -353,7 +355,8 @@ def _train(
     iteration: draw a batch, log the batch objective with its data term
     weighted by T / n, then take an Adam step on theta against the targets
     d_i B. Theta is a fresh :data:`TRAIN_DTYPE` copy of ``initial_params``
-    when given, otherwise of a fresh draw, and trains in place on batches
+    when given, otherwise the writable float32 network of a fresh draw
+    (:func:`drsl.kernel_net.init_params`), and trains in place on batches
     gathered from ``x``. The gradient and the Adam state are ``buffers``
     (from :func:`_train_buffers`; reset here, so one pair serves many
     fits), or fresh ones when None. Returns theta, frozen read-only in
@@ -370,9 +373,9 @@ def _train(
             f"B has {b.shape[0]} rows but design has {d.shape[1]} conditions"
         )
     sizes = _resolve_sizes(config, x.shape[1])
-    # a fresh float64 draw is dropped as soon as theta holds its float32 copy
-    theta = (initial_params if initial_params is not None
-             else init_params(sizes, config.init, rng=rng)).astype(TRAIN_DTYPE)
+    # a fresh draw is theta itself; a carried-over network is copied, as it is frozen
+    theta = (initial_params.astype(TRAIN_DTYPE) if initial_params is not None
+             else init_params(sizes, config.init, rng=rng))
     if b.shape[1] != theta.output_dim:
         raise ShapeMismatch(
             f"B has {b.shape[1]} columns but the kernel outputs {theta.output_dim}"

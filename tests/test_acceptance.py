@@ -92,7 +92,9 @@ def test_criterion_2_backprop_matches_finite_differences():
         )
         sizes = (max(sizes), *sizes[1:-1], min(sizes))
         activation = "sigmoid" if trial % 2 == 0 else "tanh"
+        # in float64: a float32 theta would round away most of each nudge
         params = init_params(sizes, "scaled_normal", rng=np.random.default_rng(300 + trial))
+        params = params.astype(np.float64)
         x = rng.standard_normal((6, sizes[0]))
         t = rng.standard_normal((6, sizes[-1]))
         out, activations = forward(params, x, activation)

@@ -70,6 +70,20 @@ class TestStandardize:
         expected = [(x - mean) / var**0.5 for x in col]
         np.testing.assert_allclose(out.responses[:, 0], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("t, v, seed", [(2, 3, 0), (7, 5, 1), (41, 17, 2), (300, 1000, 3)])
+    def test_bit_identical_to_numpy_mean_and_sample_std(self, t, v, seed):
+        # columns spread over 300 orders of magnitude, each off its own
+        # centre; column 0 is an inexact constant
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-150, 150, v)
+        x = (rng.standard_normal((t, v)) + rng.uniform(-1e3, 1e3, v)) * scale
+        x[:, 0] = 0.1
+        with np.errstate(invalid="ignore"):
+            expected = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        expected[:, 0] = 0.0
+        out = standardize_columns(SubjectData("s", x)).responses
+        assert out.tobytes() == expected.tobytes()
+
     def test_too_few_rows(self):
         with pytest.raises(ShapeMismatch, match="needs >= 2 rows"):
             standardize_columns(SubjectData("s", [[1.0, 2.0]]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from drsl.data_model import NetworkParameters
 from drsl.errors import ShapeMismatch
 from drsl.kernel_net import (
+    _DRAW_CHUNK,
     backprop_output_grad,
     default_layer_sizes,
     fold_output_standardization,
@@ -81,6 +84,38 @@ class TestInitParams:
         params = init_params((2000, 50, 8, 4), "paper_normal", rng=np.random.default_rng(7))
         assert abs(params.layers[0][0].std() - 1.0) < 0.1
 
+    @pytest.mark.parametrize("scheme", ["paper_normal", "scaled_normal"])
+    def test_bit_identical_to_per_array_draws_across_chunks(self, scheme):
+        # the first weight matrix spans three draw chunks, the last ends mid-chunk
+        sizes = (500, 300, 20, 10)
+        assert sizes[0] * sizes[1] > 2 * _DRAW_CHUNK
+        params = init_params(sizes, scheme, rng=np.random.default_rng(4))
+        oracle = np.random.default_rng(4)
+        assert params.flat.dtype == np.float32 and params.flat.flags.writeable
+        for fan_in, (w, b) in zip(sizes, params.layers):
+            std = 1.0 if scheme == "paper_normal" else 1.0 / np.sqrt(fan_in)
+            for a in (w, b):
+                expected = (oracle.standard_normal(a.shape) * std).astype(np.float32)
+                assert a.dtype == np.float32 and a.flags.writeable
+                assert a.tobytes() == expected.tobytes()
+        # the draw leaves the stream where the per-array draws leave it
+        rng = np.random.default_rng(4)
+        init_params(sizes, scheme, rng=rng)
+        assert rng.standard_normal() == oracle.standard_normal()
+
+    def test_paper_net_draw_allocates_only_the_network(self):
+        sizes = (1000, 1000, 700, 500)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            params = init_params(sizes, "scaled_normal", rng=rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 network, 8.2 MB, and at most 1 MiB of scratch
+        assert params.flat.size == 2_052_200
+        assert peak <= 4 * params.flat.size + 2**20
+
     def test_too_few_layers_rejected(self):
         with pytest.raises(ShapeMismatch, match="need at least 3 layers"):
             init_params((8, 3), "scaled_normal", rng=np.random.default_rng(0))
@@ -151,6 +186,7 @@ class TestForward:
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
     def test_batch_and_parameters_left_bitwise_unchanged(self, activation, dtype):
         params = init_params((6, 5, 4, 3), "paper_normal", rng=np.random.default_rng(2))
+        params = params.astype(np.float64)
         x = np.random.default_rng(1).standard_normal((7, 6)).astype(dtype)
         x_before = x.tobytes()
         for net in (params, params.astype(dtype)):
@@ -247,7 +283,9 @@ class TestBackprop:
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
     def test_matches_finite_differences(self, activation):
         rng = np.random.default_rng(17)
+        # in float64: a float32 theta would round away most of each nudge
         params = init_params((4, 5, 4, 3), "scaled_normal", rng=np.random.default_rng(11))
+        params = params.astype(np.float64)
         x = rng.standard_normal((6, 4))
         t = rng.standard_normal((6, 3))
         analytic = squared_error_grad(params, x, t, activation)
@@ -369,14 +407,20 @@ class TestFloat32:
     sizes = (30, 25, 18, 7)
 
     def nets(self, seed=6):
-        params = init_params(self.sizes, "scaled_normal", rng=np.random.default_rng(seed))
-        return params, params.astype(np.float32)
+        """A fresh draw's float64 copy and the float32 draw itself."""
+        flat = init_params(self.sizes, "scaled_normal", rng=np.random.default_rng(seed))
+        return flat.astype(np.float64), flat
 
-    def test_init_params_are_float32_values_held_in_float64(self):
+    def test_init_params_draw_a_writable_float32_network(self):
+        # training takes the draw as theta, and its float64 copy holds the same values
         params = init_params(self.sizes, "paper_normal", rng=np.random.default_rng(3))
-        for a in (a for layer in params.layers for a in layer):
-            assert a.dtype == np.float64
-            np.testing.assert_array_equal(a.astype(np.float32), a)
+        assert params.flat.dtype == np.float32 and params.flat.flags.writeable
+        for (w, b), (zw, zb) in zip(params.layers, params.astype(np.float64).layers):
+            assert w.dtype == b.dtype == np.float32
+            assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+            assert zw.dtype == zb.dtype == np.float64
+            np.testing.assert_array_equal(zw.astype(np.float32), w)
+            np.testing.assert_array_equal(zb.astype(np.float32), b)
 
     def test_float32_copy_freezes_back_to_the_float64_values(self):
         params, flat = self.nets()
@@ -511,7 +555,9 @@ class TestOutputStandardization:
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
     def test_gradient_matches_finite_differences(self, activation):
         rng = np.random.default_rng(7)
+        # in float64: a float32 theta would round away most of each nudge
         params = init_params((5, 4, 4, 3), "scaled_normal", rng=np.random.default_rng(11))
+        params = params.astype(np.float64)
         x = rng.standard_normal((9, 5))
         t = rng.standard_normal((9, 3))
 
