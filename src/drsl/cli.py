@@ -51,7 +51,6 @@ from .synth import SynthSpec, generate_dataset
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=10.0, help="regularizer scale (default 10)")
     parser.add_argument("--eta", type=float, default=1e-3, help="learning rate (default 1e-3)")
-    parser.add_argument("--m1", type=int, default=10, help="outer iterations (default 10)")
     parser.add_argument("--m2", type=int, default=100, help="inner iterations (default 100)")
     parser.add_argument("--batch", type=int, default=50, help="batch size (default 50)")
     parser.add_argument(
@@ -89,7 +88,8 @@ def _config_from_args(args, v_org: int | None) -> FitConfig:
     return FitConfig(
         alpha=args.alpha,
         eta=args.eta,
-        m1=args.m1,
+        # iters has no --m1: it sets m1 per schedule entry
+        m1=getattr(args, "m1", FitConfig.m1),
         m2=args.m2,
         batch_size=args.batch,
         layer_sizes=layer_sizes,
@@ -273,10 +273,8 @@ def _cmd_gradcheck(args) -> int:
         d = rng.standard_normal((9, 2))
         b = rng.standard_normal((2, sizes[-1]))
         x64 = x.astype(np.float64)
-        # the float32 draw widened to a writable float64 theta, so that each
-        # entry can be nudged
-        theta, grads, scratch = (NetworkParameters(None, sizes) for _ in range(3))
-        theta.flat[:] = params.flat
+        theta = params.astype(np.float64)
+        grads, scratch = NetworkParameters(None, sizes), NetworkParameters(None, sizes)
         _batch_gradient(theta, x64, d, b, activation, 1.0, grads)
         for i, value in enumerate(theta.flat.copy()):
             theta.flat[i] = value + h
@@ -364,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--method", choices=list(METHODS), required=True)
     p.add_argument("--out", default=None)
+    p.add_argument("--m1", type=int, default=10, help="outer iterations (default 10)")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_fit)
 
@@ -376,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--method", choices=list(METHODS), required=True)
     p.add_argument("--out", default=None)
+    p.add_argument("--m1", type=int, default=10, help="outer iterations (default 10)")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_cv)
 

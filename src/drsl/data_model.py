@@ -3,9 +3,10 @@
 Containers hold read-only 64-bit float arrays: the finite-difference
 gradient checks used throughout the test suite need ~1e-6 relative
 precision, which float32 cannot deliver. The one exception is
-:class:`NetworkParameters`, which also serves as the kernel's writable
-float32 training buffers inside :mod:`drsl.optimizer`; a fitted network
-keeps the float32 it trained in, and is read-only like the rest.
+:class:`NetworkParameters`, which is built in any dtype and writable until
+it is frozen: it also serves as the kernel's float32 training buffers
+inside :mod:`drsl.optimizer`, and a fitted network keeps the float32 it
+trained in and is frozen read-only like the rest.
 """
 
 from __future__ import annotations
@@ -137,14 +138,13 @@ class NetworkParameters:
     ``layers`` a (w, b) view per layer into it, so an optimizer can update
     the whole network with vector operations.
 
-    Writability: built from ``layers`` in float64, the vector is a
-    read-only copy. In any other dtype, or from ``layers=None`` (all zeros),
-    it is writable: training keeps theta and its gradient in
-    :data:`drsl.optimizer.TRAIN_DTYPE` ones, and
-    :func:`drsl.kernel_net.init_params` draws into a writable float32 one,
-    which training takes as theta. :meth:`freeze` makes a network read-only
-    in place; every fitted network is frozen, float32 ones included,
-    because several results may share it.
+    Writability: a network, built from ``layers`` (copied) or from
+    ``layers=None`` (all zeros), is writable in any dtype until
+    :meth:`freeze` makes it read-only in place. Training keeps theta and
+    its gradient in :data:`drsl.optimizer.TRAIN_DTYPE` ones, and
+    :func:`drsl.kernel_net.init_params` draws into a float32 one, which
+    training takes as theta. Every fitted network is frozen, because
+    several results may share it.
     """
 
     def __init__(self, layers, layer_sizes, dtype=np.float64):
@@ -177,8 +177,6 @@ class NetworkParameters:
                 )
             vw[...] = w
             vb[...] = b
-        if self.flat.dtype == np.float64:
-            self.freeze()
 
     def freeze(self) -> NetworkParameters:
         """Make the vector and every layer view read-only, in place; returns self."""
@@ -187,9 +185,8 @@ class NetworkParameters:
         return self
 
     def astype(self, dtype) -> NetworkParameters:
-        """A copy in ``dtype``, read-only in float64 and writable otherwise,
-        whether or not this network is frozen; writing to either network
-        leaves the other as it was."""
+        """A writable copy in ``dtype``, whether or not this network is
+        frozen; writing to either network leaves the other as it was."""
         return NetworkParameters(self.layers, self.layer_sizes, dtype)
 
     @property

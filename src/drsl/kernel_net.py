@@ -12,12 +12,11 @@ standardization is affine per output feature, it folds exactly into the
 output layer once a run's statistics are known
 (:func:`fold_output_standardization`).
 
-:func:`forward` computes in the wider of its batch's dtype and the
-:class:`NetworkParameters`' dtype, and the standardization and
+:func:`forward` computes in the dtype of its :class:`NetworkParameters`,
+casting the batch to it, and the standardization and
 :func:`backprop_output_grad` follow the arrays they are given: training
-passes float32 networks and batches and computes in float32, and a fitted
-float32 network maps a float64 run in float64, exactly as its float64 copy
-would.
+passes float32 networks and computes in float32. A float64 map takes the
+network's float64 copy, ``params.astype(np.float64)``.
 
 A forward pass records only its activations h_1..h_C, the batch first and
 the output last; each hidden activation is applied in place to its layer's
@@ -70,7 +69,7 @@ def init_params(
     as it is written, so the values are
     ``(rng.standard_normal(shape) * std).astype(np.float32)`` per array and
     no float64 copy of the network is made. Training uses the result as
-    theta; a caller that needs float64 takes ``.astype(np.float64)``.
+    theta; a caller that computes in float64 takes ``.astype(np.float64)``.
     """
     params = NetworkParameters(None, layer_sizes, np.float32)
     scheme = InitScheme(scheme)
@@ -117,17 +116,14 @@ def forward(
     """Map a batch (n x V_org) through the network to (n x V).
 
     Returns ``(output, activations)``: ``activations`` holds h_1..h_C, the
-    batch as cast (the caller's own array when no cast is needed) first and
-    ``output`` itself last. Hidden layers apply the activation
-    componentwise, in place on their affine output; the output layer is
-    affine. Neither ``batch`` nor ``params`` is written to. Every value is
-    computed in the wider of the two dtypes: the batch is cast to it, and
-    each layer's weights are widened to it one layer at a time, so a
-    float32 network maps a float64 batch bit for bit as its float64 copy.
+    batch cast to the network's dtype (the caller's own array when it is
+    in that dtype already) first and ``output`` itself last. Hidden layers
+    apply the activation componentwise, in place on their affine output;
+    the output layer is affine. Neither ``batch`` nor ``params`` is written
+    to. Every value is computed in the network's dtype.
     """
     activation = Activation(activation)
-    x = np.asarray(batch)
-    x = x.astype(np.result_type(x.dtype, params.flat.dtype), copy=False)
+    x = np.asarray(batch, dtype=params.flat.dtype)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeMismatch(
             f"batch has shape {x.shape}, expected (n, {params.input_dim})"
@@ -135,7 +131,7 @@ def forward(
     acts = [x]
     last = len(params.layers) - 1
     for m, (w, b) in enumerate(params.layers):
-        h = acts[-1] @ w.astype(x.dtype, copy=False).T
+        h = acts[-1] @ w.T
         h += b
         acts.append(h if m == last else _apply_activation(h, activation))
     return acts[-1], tuple(acts)
@@ -181,15 +177,19 @@ def fold_output_standardization(
 ) -> NetworkParameters:
     """Fold the output standardization over ``reference`` into the last layer.
 
-    The returned network maps ``reference`` to exactly
-    ``standardize_outputs(forward(params, reference))`` and applies the same
-    per-feature shift and scale to any other scans.
+    Returns a frozen float64 copy of ``params`` that maps ``reference`` to
+    exactly ``standardize_outputs(forward(params.astype(np.float64),
+    reference))`` and applies the same per-feature shift and scale to any
+    other scans.
     """
-    z, _ = forward(params, reference, activation)
+    folded = params.astype(np.float64)
+    z, _ = forward(folded, reference, activation)
     _, scale, mean = standardize_outputs(z)
-    w, b = params.layers[-1]
-    last = (w / scale[:, None], (b - mean) / scale)
-    return NetworkParameters(layers=(*params.layers[:-1], last), layer_sizes=params.layer_sizes)
+    w, b = folded.layers[-1]
+    w /= scale[:, None]
+    b -= mean
+    b /= scale
+    return folded.freeze()
 
 
 def backprop_output_grad(

@@ -218,10 +218,7 @@ class AdamState:
     first moment over (1 - mu1) and ``gamma`` the second over (1 - mu2), so
     that :func:`adam_step` updates them as mu*delta + g and mu*gamma + g*g.
     Both start at zero and are updated in place; ``step_count`` counts the
-    steps taken. The scaling holds only while every step passes the same
-    mu1 and mu2, so one state serves one pair of decays for its life, as
-    :data:`ADAM_MU1` and :data:`ADAM_MU2` always are. :meth:`reset` starts
-    it over for another fit.
+    steps taken. :meth:`reset` starts it over for another fit.
     """
 
     def __init__(self, theta: NetworkParameters):
@@ -242,30 +239,29 @@ def adam_step(
     grads: NetworkParameters,
     params: NetworkParameters,
     eta: float,
-    mu1: float,
-    mu2: float,
-    epsilon: float,
 ) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    Kingma & Ba's update with g the gradient and c_i = 1 - mu_i**k at step
-    k is m = mu1*m + (1-mu1)*g; v = mu2*v + (1-mu2)*g*g; theta -=
-    eta*(m/c1) / (sqrt(v/c2) + epsilon). The state holds delta = m/(1-mu1)
-    and gamma = v/(1-mu2) (see :class:`AdamState`), so the (1-mu) factors,
-    the bias corrections and epsilon fold into two scalars, and a step is
-    delta = mu1*delta + g; gamma = mu2*gamma + g*g; theta -= step *
-    delta / (sqrt(gamma) + eps), with step = eta*(1-mu1)*sqrt(c2) /
-    (c1*sqrt(1-mu2)) and eps = epsilon*sqrt(c2) / sqrt(1-mu2): the same
-    Adam, rounded differently. The flat vectors are swept in blocks of
-    :data:`ADAM_BLOCK` elements through one reused scratch array, ten
-    passes a block, so a step allocates nothing, and computed in their
-    dtype.
+    Kingma & Ba's update, with mu1, mu2 and epsilon fixed at
+    :data:`ADAM_MU1`, :data:`ADAM_MU2` and :data:`ADAM_EPSILON`, g the
+    gradient and c_i = 1 - mu_i**k at step k, is m = mu1*m + (1-mu1)*g;
+    v = mu2*v + (1-mu2)*g*g; theta -= eta*(m/c1) / (sqrt(v/c2) + epsilon).
+    The state holds delta = m/(1-mu1) and gamma = v/(1-mu2) (see
+    :class:`AdamState`), so the (1-mu) factors, the bias corrections and
+    epsilon fold into two scalars, and a step is delta = mu1*delta + g;
+    gamma = mu2*gamma + g*g; theta -= step * delta / (sqrt(gamma) + eps),
+    with step = eta*(1-mu1)*sqrt(c2) / (c1*sqrt(1-mu2)) and eps =
+    epsilon*sqrt(c2) / sqrt(1-mu2): the same Adam, rounded differently.
+    The flat vectors are swept in blocks of :data:`ADAM_BLOCK` elements
+    through one reused scratch array, ten passes a block, so a step
+    allocates nothing, and computed in their dtype.
     """
     theta, g, delta, gamma = params.flat, grads.flat, state.delta, state.gamma
     if grads.layer_sizes != params.layer_sizes or delta.shape != theta.shape:
         raise ShapeMismatch("Adam state, gradients, and parameters disagree in shape")
     if not theta.dtype == g.dtype == delta.dtype:
         raise ShapeMismatch("Adam state, gradients, and parameters disagree in dtype")
+    mu1, mu2, epsilon = ADAM_MU1, ADAM_MU2, ADAM_EPSILON
     k = state.step_count + 1
     c1 = 1.0 - mu1**k
     c2 = 1.0 - mu2**k
@@ -397,7 +393,7 @@ def _train(
                 f"subject {subject_id!r} diverged at {where}, step {k}: batch "
                 f"loss {losses[k]!r} (try a smaller eta)"
             )
-        adam_step(state, grads, theta, config.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
+        adam_step(state, grads, theta, config.eta)
     return theta.freeze(), losses
 
 

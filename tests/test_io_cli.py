@@ -653,7 +653,8 @@ class TestCli:
         assert [int(r["iterations"]) for r in rows] == [40, 80]
 
     def test_iters_rows_are_the_fits_of_their_schedule(self, tmp_path):
-        # every flag but --m1 and --m2 reaches each entry's fit as given
+        # every flag but --m2 reaches each entry's fit as given; iters has no
+        # --m1, and each entry's fit takes m1 = ceil(entry / m2)
         data_dir = str(tmp_path / "d")
         run(["synth", "--subjects", "2", "--scans", "80", "--voxels", "12",
              "--seed", "1", "--out", data_dir])
@@ -669,6 +670,15 @@ class TestCli:
                         "--out", str(out)]) == 0
             expected.append((out / "mse.csv").read_text().splitlines()[1])
         assert rows == expected
+
+    def test_iters_m1_is_usage_error(self, tmp_path, capsys):
+        # iters derives m1 from each schedule entry, so it takes no --m1
+        argv = ["iters", "--dataset", str(tmp_path), "--schedule", "5", "--m1", "3",
+                "--out", str(tmp_path / "iters")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --m1 3" in err and "Traceback" not in err
+        assert not (tmp_path / "iters").exists()
 
     @pytest.mark.parametrize(
         "argv,message",

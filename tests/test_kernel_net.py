@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsl.data_model import NetworkParameters
+from drsl.data_model import Activation, NetworkParameters
 from drsl.errors import ShapeMismatch
 from drsl.kernel_net import (
     _DRAW_CHUNK,
+    _apply_activation,
     backprop_output_grad,
     default_layer_sizes,
     fold_output_standardization,
@@ -164,6 +165,7 @@ class TestForward:
     def test_matches_per_neuron_oracle(self):
         rng = np.random.default_rng(12)
         params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(5))
+        params = params.astype(np.float64)
         x = rng.standard_normal((6, 3))
         out, _ = forward(params, x, "sigmoid")
         for i in range(6):
@@ -177,6 +179,7 @@ class TestForward:
 
     def test_trace_endpoints(self):
         params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(5))
+        params = params.astype(np.float64)
         x = np.random.default_rng(0).standard_normal((4, 3))
         out, activations = forward(params, x, "tanh")
         assert len(activations) == 4
@@ -206,6 +209,7 @@ class TestForward:
     def test_row_decomposable(self, seed):
         rng = np.random.default_rng(seed)
         params = init_params((5, 6, 4, 3), "scaled_normal", rng=np.random.default_rng(seed))
+        params = params.astype(np.float64)
         x = rng.standard_normal((7, 5))
         full, _ = forward(params, x, "tanh")
         rows = np.vstack([forward(params, x[i : i + 1], "tanh")[0] for i in range(7)])
@@ -299,6 +303,7 @@ class TestBackprop:
     def test_batch_gradient_is_sum_of_per_sample(self):
         rng = np.random.default_rng(8)
         params = init_params((3, 4, 4, 2), "scaled_normal", rng=np.random.default_rng(8))
+        params = params.astype(np.float64)
         x = rng.standard_normal((5, 3))
         t = rng.standard_normal((5, 2))
         full = squared_error_grad(params, x, t)
@@ -374,10 +379,11 @@ class TestGradientBuffer:
             )
 
     def test_flat_copy_and_freeze_share_no_memory(self):
-        # a float32 copy trains in place; its float64 copy is frozen
+        # a float32 copy trains in place; a frozen float64 copy stays as it was
         params = init_params((5, 4, 3), "scaled_normal", rng=np.random.default_rng(1))
+        params = params.astype(np.float64)
         flat = params.astype(np.float32)
-        frozen = flat.astype(np.float64)
+        frozen = flat.astype(np.float64).freeze()
         for (w, b), (fw, fb), (zw, zb) in zip(params.layers, flat.layers, frozen.layers):
             np.testing.assert_array_equal(fw, w)
             np.testing.assert_array_equal(zb, b)
@@ -422,6 +428,19 @@ class TestFloat32:
             np.testing.assert_array_equal(zw.astype(np.float32), w)
             np.testing.assert_array_equal(zb.astype(np.float32), b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_astype_float64_is_writable_and_shares_no_memory(self, dtype):
+        # writable whether or not the source is frozen, in either dtype
+        source = init_params(self.sizes, "paper_normal", rng=np.random.default_rng(3))
+        source = source.astype(dtype).freeze()
+        before = source.flat.tobytes()
+        copy = source.astype(np.float64)
+        assert copy.flat.dtype == np.float64
+        for a in (copy.flat, *(a for layer in copy.layers for a in layer)):
+            assert a.flags.writeable and not np.shares_memory(a, source.flat)
+        copy.flat[:] = 0.0
+        assert source.flat.tobytes() == before
+
     def test_float32_copy_freezes_back_to_the_float64_values(self):
         params, flat = self.nets()
         assert flat.flat.dtype == np.float32
@@ -442,17 +461,36 @@ class TestFloat32:
 
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
     def test_float32_network_maps_a_float64_batch_as_its_float64_copy(self, activation):
-        # a fitted kernel is float32 and maps whole runs, which are float64
+        # a fitted kernel is float32; its float64 copy maps float64 scans,
+        # each layer as the float32 weights widened to float64
         _, flat = self.nets()
+        net = flat.astype(np.float64)
         x = np.random.default_rng(3).standard_normal((13, 30))
         before = flat.flat.tobytes()
-        got, activations = forward(flat, x, activation)
-        expected, expected_acts = forward(flat.astype(np.float64), x, activation)
+        got, activations = forward(net, x, activation)
+        expected_acts = [x]
+        for m, (w, b) in enumerate(flat.layers):
+            h = expected_acts[-1] @ w.astype(np.float64).T
+            h += b
+            last = m == len(flat.layers) - 1
+            expected_acts.append(h if last else _apply_activation(h, Activation(activation)))
         assert activations[0] is x
         assert got.dtype == np.float64 and all(a.dtype == np.float64 for a in activations)
         for a, e in zip(activations, expected_acts, strict=True):
             np.testing.assert_array_equal(a, e)
         assert flat.flat.tobytes() == before
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_float32_network_maps_a_float64_batch_in_float32(self, activation):
+        # a network computes in its own dtype: the batch is cast to float32 first
+        _, flat = self.nets()
+        x = np.random.default_rng(3).standard_normal((13, 30))
+        got, activations = forward(flat, x, activation)
+        expected, expected_acts = forward(flat, x.astype(np.float32), activation)
+        assert got.dtype == np.float32 and all(a.dtype == np.float32 for a in activations)
+        assert got.tobytes() == expected.tobytes()
+        for a, e in zip(activations, expected_acts, strict=True):
+            assert a.tobytes() == e.tobytes()
 
     def test_standardization_stays_float32_and_matches_float64(self):
         z = np.random.default_rng(4).standard_normal((40, 7)) * 3.0 + 1.0
@@ -608,6 +646,7 @@ class TestOutputStandardization:
     def test_fold_reproduces_reference_standardization(self):
         rng = np.random.default_rng(5)
         params = init_params((6, 5, 4), "paper_normal", rng=np.random.default_rng(2))
+        params = params.astype(np.float64)
         ref = rng.standard_normal((20, 6))
         other = rng.standard_normal((7, 6))
         folded = fold_output_standardization(params, ref, "tanh")
@@ -621,3 +660,21 @@ class TestOutputStandardization:
             (forward(params, other, "tanh")[0] - z_ref.mean(axis=0)) / scale,
             atol=1e-10,
         )
+
+    def test_fold_of_a_float32_kernel_is_its_frozen_float64_copy_rescaled(self):
+        # CV folds the float32 adapted kernel over float64 adaptation scans
+        rng = np.random.default_rng(5)
+        params = init_params((6, 5, 4, 3), "paper_normal", rng=np.random.default_rng(2))
+        ref = rng.standard_normal((20, 6))
+        before = params.flat.tobytes()
+        folded = fold_output_standardization(params, ref, "tanh")
+        wide = params.astype(np.float64)
+        _, scale, mean = standardize_outputs(forward(wide, ref, "tanh")[0])
+        w, b = wide.layers[-1]
+        expected = (*wide.layers[:-1], (w / scale[:, None], (b - mean) / scale))
+        assert folded.flat.dtype == np.float64 and folded.layer_sizes == params.layer_sizes
+        for a in (folded.flat, *(a for layer in folded.layers for a in layer)):
+            assert not a.flags.writeable
+        for (fw, fb), (ew, eb) in zip(folded.layers, expected, strict=True):
+            assert fw.tobytes() == ew.tobytes() and fb.tobytes() == eb.tobytes()
+        assert params.flat.tobytes() == before and params.flat.flags.writeable

@@ -210,23 +210,16 @@ def _scaled_adam(theta, delta, gamma, g, k, eta, mu1, mu2, eps):
     return theta - delta / (np.sqrt(gamma) + eps_scaled) * step, delta, gamma
 
 
-def _writable(params, dtype=np.float64):
-    """A writable copy of ``params`` in ``dtype``, as training holds theta."""
-    theta = NetworkParameters(None, params.layer_sizes, dtype)
-    theta.flat[:] = params.flat
-    return theta
-
-
 class TestAdamStep:
     def make(self, seed=0, sizes=(3, 4, 4, 2)):
-        params = _writable(init_params(sizes, "scaled_normal", rng=np.random.default_rng(seed)))
+        params = init_params(sizes, "scaled_normal", rng=np.random.default_rng(seed))
+        params = params.astype(np.float64)
         return params, AdamState(params)
 
     def test_zero_gradient_leaves_parameters(self):
         params, state = self.make()
         before = params.flat.copy()
-        adam_step(state, NetworkParameters(None, params.layer_sizes), params,
-                  1e-3, 0.9, 0.999, 1e-8)
+        adam_step(state, NetworkParameters(None, params.layer_sizes), params, 1e-3)
         assert state.step_count == 1
         np.testing.assert_array_equal(params.flat, before)
 
@@ -237,14 +230,14 @@ class TestAdamStep:
         for gw, gb in grads.layers:
             gw[...] = 5.0
             gb[...] = -5.0
-        adam_step(state, grads, params, 1e-3, 0.9, 0.999, 1e-8)
+        adam_step(state, grads, params, 1e-3)
         for (w0, b0), (w1, b1) in zip(before, params.layers):
             np.testing.assert_allclose(w1 - w0, -1e-3, rtol=1e-6)
             np.testing.assert_allclose(b1 - b0, 1e-3, rtol=1e-6)
 
     def test_three_steps_match_scalar_oracle(self):
         # scalar Adam recurrence, constant gradient g
-        g, eta, mu1, mu2, eps = 2.5, 1e-2, 0.9, 0.999, 1e-8
+        g, eta, mu1, mu2, eps = 2.5, 1e-2, ADAM_MU1, ADAM_MU2, ADAM_EPSILON
         theta, delta, gamma = 0.3, 0.0, 0.0
         expected = []
         for k in range(1, 4):
@@ -261,7 +254,7 @@ class TestAdamStep:
         grads.flat[:] = g
         state = AdamState(params)
         for k in range(3):
-            adam_step(state, grads, params, eta, mu1, mu2, eps)
+            adam_step(state, grads, params, eta)
             assert params.layers[0][0][0, 0] == pytest.approx(expected[k], abs=1e-12)
 
     def test_bit_identical_to_functional_reference_across_blocks(self):
@@ -275,10 +268,10 @@ class TestAdamStep:
         ref = [[a.copy(), np.zeros_like(a), np.zeros_like(a)] for a in arrays]
         grads = NetworkParameters(None, sizes)
         rng = np.random.default_rng(8)
-        eta, mu1, mu2, eps = 1e-2, 0.9, 0.999, 1e-8
+        eta, mu1, mu2, eps = 1e-2, ADAM_MU1, ADAM_MU2, ADAM_EPSILON
         for k in range(1, 6):
             grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.uniform(-4, 2)
-            adam_step(state, grads, params, eta, mu1, mu2, eps)
+            adam_step(state, grads, params, eta)
             g_arrays = [a for layer in grads.layers for a in layer]
             for entry, g in zip(ref, g_arrays):
                 entry[:] = _scaled_adam(*entry, g, k, eta, mu1, mu2, eps)
@@ -292,7 +285,7 @@ class TestAdamStep:
     def test_mismatched_buffers_raise(self):
         params, state = self.make()
         with pytest.raises(ShapeMismatch):
-            adam_step(state, NetworkParameters(None, (3, 4, 2)), params, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(state, NetworkParameters(None, (3, 4, 2)), params, 1e-3)
 
     def test_float32_buffers_match_functional_reference_across_blocks(self):
         # as the bit-identical test above, with float32 theta, gradient and
@@ -306,10 +299,10 @@ class TestAdamStep:
                for layer in params64.layers for a in layer]
         grads = NetworkParameters(None, sizes, np.float32)
         rng = np.random.default_rng(8)
-        eta, mu1, mu2, eps = 1e-2, 0.9, 0.999, 1e-8
+        eta, mu1, mu2, eps = 1e-2, ADAM_MU1, ADAM_MU2, ADAM_EPSILON
         for k in range(1, 6):
             grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.uniform(-4, 2)
-            adam_step(state, grads, params, eta, mu1, mu2, eps)
+            adam_step(state, grads, params, eta)
             for buffer in (params.flat, grads.flat, state.delta, state.gamma):
                 assert buffer.dtype == np.float32
             g_arrays = [a.astype(np.float64) for layer in grads.layers for a in layer]
@@ -339,7 +332,7 @@ class TestAdamStep:
         eta, mu1, mu2, eps = 1e-2, ADAM_MU1, ADAM_MU2, ADAM_EPSILON
         for k in range(1, 51):
             grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.uniform(-4, 2)
-            adam_step(state, grads, params, eta, mu1, mu2, eps)
+            adam_step(state, grads, params, eta)
             ref[:] = _reference_adam(*ref, grads.flat.copy(), k, eta, mu1, mu2, eps)
         got = (params.flat, (1.0 - mu1) * state.delta, (1.0 - mu2) * state.gamma)
         for a, e in zip(got, ref):
@@ -349,10 +342,7 @@ class TestAdamStep:
     def test_mismatched_dtypes_raise(self):
         params, state = self.make()
         with pytest.raises(ShapeMismatch):
-            adam_step(
-                state, NetworkParameters(None, params.layer_sizes, np.float32), params,
-                1e-3, 0.9, 0.999, 1e-8,
-            )
+            adam_step(state, NetworkParameters(None, params.layer_sizes, np.float32), params, 1e-3)
 
 
 def make_subject(t=60, v=8, p=3, seed=0, noise=0.1):
@@ -549,8 +539,7 @@ class TestFitSubject:
         out = fit_subject(data, design, SignatureMatrix(np.ones((3, 4))), cfg)
         # Adam's constants are Kingma & Ba's, the same for every fit
         assert (ADAM_MU1, ADAM_MU2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
-        constants = (cfg.eta, ADAM_MU1, ADAM_MU2, ADAM_EPSILON)
-        assert seen == [(*(np.float32,) * 4, constants)] * cfg.m2
+        assert seen == [(*(np.float32,) * 4, (cfg.eta,))] * cfg.m2
         # theta is the float32 array it trained in, frozen; the mapped run is float64
         assert not out.params.flat.flags.writeable
         for a in (out.params.flat, *(a for layer in out.params.layers for a in layer)):
