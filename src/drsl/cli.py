@@ -199,6 +199,13 @@ def _read_run_json(path: str) -> dict:
     missing = [k for k in _RUN_KEYS if k not in echo] if isinstance(echo, dict) else _RUN_KEYS
     if missing:
         raise ParseError(f"run.json lacks {', '.join(missing)}")
+    if not isinstance(echo["dataset"], str):
+        raise ParseError(f"run.json: dataset must be a path, got {echo['dataset']!r}")
+    if echo["method"] not in METHODS:
+        raise ParseError(f"run.json: method must be one of {METHODS}, got {echo['method']!r}")
+    for key in ("m1", "m2", "lasso_iters"):
+        if type(echo[key]) is not int or echo[key] < 0:  # a bool is an int to isinstance
+            raise ParseError(f"run.json: {key} must be an integer >= 0, got {echo[key]!r}")
     return echo
 
 

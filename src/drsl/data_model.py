@@ -2,11 +2,13 @@
 
 Containers hold read-only 64-bit float arrays: the finite-difference
 gradient checks used throughout the test suite need ~1e-6 relative
-precision, which float32 cannot deliver. The one exception is
-:class:`NetworkParameters`, which is built in any dtype and writable until
-it is frozen: it also serves as the kernel's float32 training buffers
-inside :mod:`drsl.optimizer`, and a fitted network keeps the float32 it
-trained in and is frozen read-only like the rest.
+precision, which float32 cannot deliver. They are finite by construction
+(:func:`as_matrix`), so each run is checked once, where it enters the
+program. The one exception is :class:`NetworkParameters`, which is built
+in any dtype and writable until it is frozen: it also serves as the
+kernel's float32 training buffers inside :mod:`drsl.optimizer`, and a
+fitted network keeps the float32 it trained in and is frozen read-only
+like the rest.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from .errors import DrslError, NonFinite, ShapeMismatch
 
 
 def as_matrix(values, name: str = "values") -> np.ndarray:
-    """Copy input to a read-only 2-D float64 array."""
+    """Copy input to a read-only, finite 2-D float64 array; errors begin with ``name``."""
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"{name} contain NaN/Inf")
     arr.setflags(write=False)
     return arr
 
@@ -47,7 +51,7 @@ class SubjectData:
     responses: np.ndarray
 
     def __post_init__(self):
-        resp = as_matrix(self.responses, "responses")
+        resp = as_matrix(self.responses, f"responses of subject {self.subject_id!r}")
         if resp.shape[0] < 1 or resp.shape[1] < 1:
             raise ShapeMismatch(f"responses must be non-empty, got {resp.shape}")
         object.__setattr__(self, "responses", resp)
@@ -79,6 +83,8 @@ class DesignMatrix:
             raise ShapeMismatch(
                 f"{len(conds)} condition names for {vals.shape[1]} design columns"
             )
+        if len(conds) < 2:
+            raise ShapeMismatch(f"design needs >= 2 conditions, got {conds}")
         if len(set(conds)) != len(conds):
             raise DrslError(f"duplicate condition names: {conds}")
         object.__setattr__(self, "conditions", conds)
@@ -265,22 +271,12 @@ class FitConfig:
 
 
 def validate_pair(data: SubjectData, design: DesignMatrix) -> None:
-    """Check that responses and design describe the same scan run.
-
-    Raises ShapeMismatch when time points differ or the design has fewer
-    than two conditions, and NonFinite when either matrix contains NaN or
-    infinite entries.
-    """
+    """Raise ShapeMismatch unless responses and design have the same scan count;
+    every other condition on a pair holds by construction."""
     if data.n_scans != design.n_scans:
         raise ShapeMismatch(
             f"responses have {data.n_scans} scans but design has {design.n_scans}"
         )
-    if design.n_conditions < 2:
-        raise ShapeMismatch(f"design needs >= 2 conditions, got {design.n_conditions}")
-    if not np.all(np.isfinite(data.responses)):
-        raise NonFinite(f"responses of subject {data.subject_id!r} contain NaN/Inf")
-    if not np.all(np.isfinite(design.values)):
-        raise NonFinite("design matrix contains NaN/Inf")
 
 
 def standardize_columns(data: SubjectData) -> SubjectData:

@@ -144,12 +144,10 @@ def write_dataset(path: str, pairs: list[tuple[SubjectData, EventTable]]) -> Non
         for name in _bold_copies(path, data.subject_id):
             os.remove(os.path.join(path, name))
         digest = write_matrix_tsv(bold, data.responses)
-        # the copy holds what the TSV parses to: "%.17g" writes every NaN as
-        # nan, and the parse returns a C-ordered array
+        # the copy holds what the TSV parses to, a C-ordered array
         copy = os.path.join(path, _bold_copy_name(data.subject_id, digest))
-        parsed = np.where(np.isnan(data.responses), np.nan, data.responses)
         with open(copy, "wb") as fh:
-            np.save(fh, np.ascontiguousarray(parsed), allow_pickle=False)
+            np.save(fh, np.ascontiguousarray(data.responses), allow_pickle=False)
         with open(os.path.join(path, _events_name(data.subject_id)), "w", newline="") as fh:
             fh.write(EVENTS_HEADER + "\n")
             for ev in events.events:

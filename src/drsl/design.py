@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DesignMatrix
-from .errors import DrslError, ShapeMismatch
+from .errors import DrslError
 
 HRF_LENGTH_S = 32.0
 
@@ -131,7 +131,5 @@ def build_design_column(events: EventTable, condition: str, hrf: np.ndarray) -> 
 
 def build_design_matrix(events: EventTable, hrf: np.ndarray) -> DesignMatrix:
     """Stack per-condition columns, ordered by sorted condition name."""
-    if len(events.conditions) < 2:
-        raise ShapeMismatch(f"need >= 2 conditions, got {events.conditions}")
     cols = [build_design_column(events, c, hrf) for c in events.conditions]
     return DesignMatrix(conditions=events.conditions, values=np.column_stack(cols))

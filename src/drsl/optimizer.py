@@ -448,12 +448,9 @@ def fit_subject(
     The fit draws from the subject's own stream for ``outer``
     (:func:`subject_stream`), which :func:`fit` relies on. ``_buffers`` is
     internal: :func:`fit` passes every subject fit the same gradient
-    buffer and Adam state (see :func:`_train`), and has checked every pair
-    with :func:`check_group`, so a call that passes ``_buffers`` does not
-    run :func:`validate_pair` again.
+    buffer and Adam state (see :func:`_train`).
     """
-    if _buffers is None:
-        validate_pair(data, design)
+    validate_pair(data, design)
     rng = subject_stream(config.seed, data.subject_id, _STREAM_SUBJECT, outer)
     where = f"outer iteration {outer}"
     x = data.responses.astype(TRAIN_DTYPE)
@@ -514,9 +511,8 @@ def fit(datasets, config: FitConfig, *, first_fits: dict | None = None) -> Group
     theta carried over from the subject's previous outer iteration (drawn
     fresh in the first), then replaces the group signatures with the
     subject mean. Every subject fit trains in one gradient buffer and Adam
-    state, and every pair is validated once, by :func:`check_group`. Of a
-    subject's previous fit only theta is kept, and only until it has
-    seeded the subject's next fit.
+    state. Of a subject's previous fit only theta is kept, and only until
+    it has seeded the subject's next fit.
 
     ``first_fits`` shares outer-iteration-0 subject fits between calls on
     overlapping dataset lists. Such a fit depends only on the subject's

@@ -42,11 +42,11 @@ class TestValidatePair:
             validate_pair(SubjectData("s1", bad), design)
 
     def test_single_condition_rejected(self):
+        # no pair can hold such a design: DesignMatrix refuses it
         rng = np.random.default_rng(0)
         data = SubjectData("s1", rng.standard_normal((10, 4)))
-        design = DesignMatrix(conditions=("only",), values=rng.standard_normal((10, 1)))
         with pytest.raises(ShapeMismatch, match="design needs >= 2 conditions"):
-            validate_pair(data, design)
+            validate_pair(data, DesignMatrix(("only",), rng.standard_normal((10, 1))))
 
 
 class TestStandardize:
@@ -132,6 +132,30 @@ class TestContainers:
     def test_signature_conditions_align_with_rows(self):
         with pytest.raises(ShapeMismatch):
             SignatureMatrix(values=np.zeros((3, 2)), conditions=("a", "b"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_responses_rejected_naming_the_subject(self, bad):
+        x = np.zeros((5, 3))
+        x[2, 1] = bad
+        with pytest.raises(NonFinite) as exc:
+            SubjectData("02", x)
+        assert str(exc.value) == "responses of subject '02' contain NaN/Inf"
+
+    def test_non_finite_design_rejected(self):
+        values = np.zeros((4, 2))
+        values[1, 0] = np.nan
+        with pytest.raises(NonFinite, match="design values contain NaN/Inf"):
+            DesignMatrix(conditions=("a", "b"), values=values)
+
+    def test_non_finite_signatures_rejected(self):
+        values = np.zeros((2, 3))
+        values[0, 2] = np.nan
+        with pytest.raises(NonFinite, match="signature values contain NaN/Inf"):
+            SignatureMatrix(values=values, conditions=("a", "b"))
+
+    def test_single_condition_design_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"design needs >= 2 conditions, got \('a',\)"):
+            DesignMatrix(conditions=("a",), values=np.zeros((4, 1)))
 
 
 class TestFitConfig:

@@ -141,7 +141,7 @@ class TestDesignMatrix:
 
     def test_single_condition_rejected(self):
         table = impulse_table([(0.0, "a")], conditions=("a",))
-        with pytest.raises(ShapeMismatch, match="need >= 2 conditions"):
+        with pytest.raises(ShapeMismatch, match="design needs >= 2 conditions"):
             build_design_matrix(table, canonical_hrf(2.0))
 
 

@@ -21,7 +21,7 @@ from drsl.dataset_io import (
     write_matrix_tsv,
     write_results,
 )
-from drsl.errors import DrslError, ParseError
+from drsl.errors import DrslError, NonFinite, ParseError
 from drsl.synth import SynthSpec, generate_dataset
 
 
@@ -49,6 +49,18 @@ class TestDatasetRoundTrip:
                 design.values, orig_design.values, atol=1e-12
             )
             assert design.conditions == orig_design.conditions
+
+    def test_nan_in_bold_tsv_fails_the_read_naming_the_subject(self, small_dataset, capsys):
+        path, _ = small_dataset
+        bold = os.path.join(path, "sub-02_bold.tsv")
+        lines = open(bold).read().split("\n")
+        lines[0] = "\t".join(["nan", *lines[0].split("\t")[1:]])
+        open(bold, "w").write("\n".join(lines))
+        with pytest.raises(NonFinite) as exc:
+            read_dataset(path)
+        assert str(exc.value) == "responses of subject '02' contain NaN/Inf"
+        assert run_cli(["fit", "--dataset", path, "--method", "glm"]) == 1
+        assert capsys.readouterr().err == "error: responses of subject '02' contain NaN/Inf\n"
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError, match="no manifest.txt in"):
@@ -162,10 +174,6 @@ def bold_copies(path):
     return sorted(name for name in os.listdir(path) if name.endswith(".npy"))
 
 
-def from_bits(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
 class TestBoldCopy:
     def test_one_copy_per_subject_named_by_the_tsv_hash(self, small_dataset):
         path, ds = small_dataset
@@ -194,10 +202,10 @@ class TestBoldCopy:
     def test_special_values_read_the_same_with_and_without_copy(self, small_dataset, tmp_path):
         _, ds = small_dataset
         responses = np.array(ds.subjects[0].responses)
+        # finite specials only: no SubjectData holds inf or NaN
         specials = [
             0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-            1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf,
-            from_bits(0x7FF0000000000123), from_bits(0xFFF8000000000001),
+            1.7976931348623157e308, -1.7976931348623157e308,
         ]
         responses.flat[: len(specials)] = specials
         path = str(tmp_path / "specials")
@@ -738,6 +746,33 @@ class TestCli:
         assert run(["eval", "--fit-output", str(fit_out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("dataset", 123, "run.json: dataset must be a path, got 123"),
+            ("m1", "3", "run.json: m1 must be an integer >= 0, got '3'"),
+            ("method", None, "run.json: method must be one of"),
+            ("m2", True, "run.json: m2 must be an integer >= 0, got True"),
+        ],
+        ids=["dataset-int", "m1-str", "method-null", "m2-bool"],
+    )
+    def test_eval_bad_run_json_value_exits_1(self, tmp_path, capsys, key, value, message):
+        # each value is edited into a drsl fit's own run.json, one at a time
+        data_dir, fit_out = str(tmp_path / "d"), tmp_path / "fit"
+        assert run(["synth", "--subjects", "2", "--scans", "80", "--voxels", "12",
+                    "--seed", "1", "--out", data_dir]) == 0
+        assert run(["fit", "--dataset", data_dir, "--method", "drsl", "--alpha", "1",
+                    "--m1", "1", "--m2", "5", "--batch", "20", "--layers", "8,6,4",
+                    "--out", str(fit_out)]) == 0
+        echo = json.loads((fit_out / "run.json").read_text())
+        echo[key] = value
+        (fit_out / "run.json").write_text(json.dumps(echo))
+        capsys.readouterr()
+        assert run(["eval", "--fit-output", str(fit_out), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
+        assert not (tmp_path / "e").exists()
 
     def test_version_flag(self):
         assert run(["--version"]) == 0

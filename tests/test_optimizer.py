@@ -683,9 +683,9 @@ class TestGroupFit:
             np.testing.assert_array_equal(a, b)
 
 
-    def test_each_pair_is_validated_once_per_call(self, monkeypatch):
-        # fit checks every pair in check_group and no subject fit checks it
-        # again; a direct subject fit or adaptation checks its own pair
+    def test_direct_subject_fit_and_adaptation_check_their_pair(self, monkeypatch):
+        # a direct subject fit or adaptation checks its own pair, and a
+        # design one scan short fails either
         import drsl.optimizer as opt
 
         checked = []
@@ -695,12 +695,10 @@ class TestGroupFit:
             checked.append(data.subject_id)
             validate(data, design)
 
-        monkeypatch.setattr(opt, "validate_pair", spy)
         pairs = [make_subject(seed=s) for s in range(3)]
         cfg = FitConfig(m1=2, m2=3, batch_size=20, seed=4, layer_sizes=(8, 6, 5, 4))
         group = fit(pairs, cfg)
-        assert checked == ["s0", "s1", "s2"]
-        checked.clear()
+        monkeypatch.setattr(opt, "validate_pair", spy)
         fit_subject(*pairs[1], group.signatures, cfg)
         fit_kernel_params(*pairs[2], group.signatures, cfg)
         assert checked == ["s1", "s2"]
