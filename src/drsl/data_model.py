@@ -259,8 +259,9 @@ class FitConfig:
             raise DrslError(f"eta must be > 0 and finite, got {self.eta}")
         if not (self.m1 >= 0 and self.m2 >= 0):
             raise DrslError(f"iteration counts must be >= 0, got m1={self.m1} m2={self.m2}")
-        if not self.batch_size >= 1:
-            raise DrslError(f"batch size must be >= 1, got {self.batch_size}")
+        # a batch of one standardizes every kernel output to 0, so no step would train
+        if not self.batch_size >= 2:
+            raise DrslError(f"batch size must be >= 2, got {self.batch_size}")
         if not self.seed >= 0:
             raise DrslError(f"seed must be non-negative, got {self.seed}")
         validate_lasso_settings(self.lasso_alpha, self.lasso_iterations)

@@ -22,6 +22,13 @@ A forward pass records only its activations h_1..h_C, the batch first and
 the output last; each hidden activation is applied in place to its layer's
 affine output, so a hidden layer holds one array per pass. Backprop needs
 nothing more: every activation's derivative is a function of h.
+
+Layers compute feature-major. Layer m's output is a C-contiguous (V_m x n)
+array, W_m h_{m-1}^T + b_m, and is handed on as its (n x V_m) transpose;
+backprop chains its deltas the same way. So every public shape is (n x V),
+and the per-feature reductions over the batch (the standardization, its
+backward pass, the bias gradients) and the bias add run along contiguous
+rows of n values, not across n short rows of V.
 """
 
 from __future__ import annotations
@@ -117,7 +124,9 @@ def forward(
 
     Returns ``(output, activations)``: ``activations`` holds h_1..h_C, the
     batch cast to the network's dtype (the caller's own array when it is
-    in that dtype already) first and ``output`` itself last. Hidden layers
+    in that dtype already) first and ``output`` itself last. Layer m is
+    computed feature-major, as W_m h_{m-1}^T + b_m in a C-contiguous
+    (V_m x n) array, and recorded as its (n x V_m) transpose. Hidden layers
     apply the activation componentwise, in place on their affine output;
     the output layer is affine. Neither ``batch`` nor ``params`` is written
     to. Every value is computed in the network's dtype.
@@ -131,9 +140,9 @@ def forward(
     acts = [x]
     last = len(params.layers) - 1
     for m, (w, b) in enumerate(params.layers):
-        h = acts[-1] @ w.T
-        h += b
-        acts.append(h if m == last else _apply_activation(h, activation))
+        h = w @ acts[-1].T
+        h += b[:, None]
+        acts.append((h if m == last else _apply_activation(h, activation)).T)
     return acts[-1], tuple(acts)
 
 
@@ -203,7 +212,9 @@ def backprop_output_grad(
 
     ``activations`` is the record :func:`forward` returned for the same
     network: h_m feeds layer m's weight gradient, and the derivative of
-    each hidden activation comes from h alone. The gradients are written
+    each hidden activation comes from h alone. Each delta is chained
+    feature-major, as (W^T delta^T)^T, so that it is the transpose of a
+    C-contiguous (V_m x n) array like the layers. The gradients are written
     into ``out``, a writable network, which is returned and sets the dtype
     of the chain; ``out`` must not be ``params`` itself.
     """
@@ -220,5 +231,5 @@ def backprop_output_grad(
         np.matmul(delta.T, activations[m], out=gw)
         np.add.reduce(delta, axis=0, out=gb)
         if m > 0:
-            delta = (delta @ w) * _activation_derivative(activations[m], activation)
+            delta = (w.T @ delta.T).T * _activation_derivative(activations[m], activation)
     return out

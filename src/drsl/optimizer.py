@@ -411,13 +411,15 @@ def _batch_gradient(
     Maps ``xb``, standardizes the outputs f and returns ``weight`` *
     ||f - db B||^2, summed in float64; writes the gradient of the
     unweighted term ||f - db B||^2 into ``out``. The kernel computes in
-    the dtype of ``theta``, and the targets db B are formed in float64
-    once for loss and gradient. Every training step takes this path, and
-    ``drsl gradcheck`` checks it.
+    the dtype of ``theta``, feature-major (see :mod:`drsl.kernel_net`),
+    and the targets db B are formed in float64 once for loss and gradient,
+    in the same layout as f: the transpose of the C-contiguous (V x n)
+    array B^T db^T. Every training step takes this path, and ``drsl
+    gradcheck`` checks it.
     """
     z, activations = forward(theta, xb, activation)
     fb, scale, _ = standardize_outputs(z)
-    targets = db @ b
+    targets = (b.T @ db.T).T
     loss = _data_term(fb, targets, weight)
     grad_out = standardize_backward(2.0 * (fb - targets.astype(fb.dtype)), fb, scale)
     backprop_output_grad(theta, activations, grad_out, activation, out=out)

@@ -193,8 +193,10 @@ class TestFitConfig:
             FitConfig(**settings)
 
     def test_nonpositive_batch_size_rejected(self):
-        with pytest.raises(DrslError, match="batch size must be >= 1"):
-            FitConfig(batch_size=0)
+        # one row too: its per-batch standardization maps every output to 0
+        for size in (0, 1):
+            with pytest.raises(DrslError, match=f"batch size must be >= 2, got {size}"):
+                FitConfig(batch_size=size)
 
     def test_string_enums_coerced(self):
         cfg = FitConfig(activation="tanh", init="paper_normal")

@@ -187,6 +187,25 @@ class TestForward:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_layers_are_feature_major(self, activation, dtype):
+        # layer m is W_m h^T + b_m in a C-contiguous (V_m x n) array, handed on transposed
+        params = init_params((6, 5, 4, 3), "paper_normal", rng=np.random.default_rng(2))
+        params = params.astype(dtype)
+        x = np.random.default_rng(1).standard_normal((7, 6)).astype(dtype)
+        out, activations = forward(params, x, activation)
+        expected = [x.T]
+        for m, (w, b) in enumerate(params.layers):
+            z = w @ expected[-1] + b[:, None]
+            last = m == len(params.layers) - 1
+            expected.append(z if last else _apply_activation(z, Activation(activation)))
+        assert activations[-1] is out
+        for a, e in zip(activations[1:], expected[1:], strict=True):
+            assert a.shape == e.T.shape and a.dtype == dtype
+            assert a.T.flags.c_contiguous
+            assert a.T.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
     def test_batch_and_parameters_left_bitwise_unchanged(self, activation, dtype):
         params = init_params((6, 5, 4, 3), "paper_normal", rng=np.random.default_rng(2))
         params = params.astype(np.float64)
@@ -318,8 +337,10 @@ class TestBackprop:
 
 def _allocating_backprop(params, activations, grad_output, activation):
     """Backprop that allocates each layer's gradient, as it did before it
-    wrote into a flat buffer; the reference for the buffered form. Relu's
-    derivative reads the pre-activation z, recomputed from the layer input."""
+    wrote into a flat buffer; the reference for the buffered form. Each
+    delta is chained feature-major, (W^T delta^T)^T, as forward computes
+    its layers. Relu's derivative reads the pre-activation z, recomputed
+    from the layer input in the same layout."""
     grads = [None] * len(params.layers)
     delta = grad_output
     for m in range(len(params.layers) - 1, -1, -1):
@@ -327,14 +348,14 @@ def _allocating_backprop(params, activations, grad_output, activation):
         grads[m] = (delta.T @ activations[m], delta.sum(axis=0))
         if m > 0:
             w_in, b_in = params.layers[m - 1]
-            z, h = activations[m - 1] @ w_in.T + b_in, activations[m]
+            z, h = (w_in @ activations[m - 1].T + b_in[:, None]).T, activations[m]
             if activation == "sigmoid":
                 derivative = h * (1.0 - h)
             elif activation == "tanh":
                 derivative = 1.0 - h * h
             else:
                 derivative = np.where(z > 0, 1.0, 0.0)
-            delta = (delta @ w) * derivative
+            delta = (w.T @ delta.T).T * derivative
     return grads
 
 
@@ -629,7 +650,9 @@ class TestOutputStandardization:
         params = init_params((4, 3, 2), "scaled_normal", rng=np.random.default_rng(1))
         x = rng.standard_normal((6, 4))
         d, b = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
-        t = d @ b
+        # the targets in the step's feature-major layout, so that the float64
+        # loss sums in the same order
+        t = (b.T @ d.T).T
         for dtype in (np.float64, np.float32):
             theta = params.astype(dtype)
             got = NetworkParameters(None, params.layer_sizes, dtype)
